@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__, factors, freeprob, model, ncpart, ratmat
-from .errors import NcfreeError, WordSyntaxError
+from .errors import NcfreeError, OutputError, WordSyntaxError
 from .model import ModelParams
 
 EXACT = "exact"
@@ -264,11 +264,14 @@ def _cmd_rmt_sample(args) -> tuple[dict, int]:
             {"N": config.N, "n": config.n, "seed": config.seed,
              "trials": config.trials, "epsilon_atom": config.atom_threshold},
             sort_keys=True)
-        with open(args.out, "w") as fh:
-            fh.write(f"# {header}\n")
-            fh.write("eigenvalue\n")
-            for value in eigs.ravel().tolist():
-                fh.write(f"{value!r}\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(f"# {header}\n")
+                fh.write("eigenvalue\n")
+                for value in eigs.ravel().tolist():
+                    fh.write(f"{value!r}\n")
+        except OSError as exc:
+            raise OutputError(f"cannot write {args.out}: {exc.strerror}") from exc
         result["csv"] = args.out
     return _doc("rmt sample", params, result, MONTECARLO), 0
 
@@ -277,8 +280,7 @@ def _cmd_rmt_estimate(args) -> tuple[dict, int]:
     from . import rmt
     config = _rmt_config(args)
     word = parse_word(args.word)
-    sampler = rmt.sample_free_pair(config)
-    est = rmt.estimate_word(sampler, word, threads=args.threads)
+    est = rmt.FreePairSampler(config).estimate(word, threads=args.threads)
     result = {"value": est.value, "std_error": est.std_error,
               "trials": est.trials, "std_error_ok": est.std_error_ok}
     params = {"n": args.n, "N": args.N, "trials": args.trials,

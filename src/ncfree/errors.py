@@ -41,3 +41,7 @@ class ConfigError(NcfreeError, ValueError):
 
 class WordSyntaxError(NcfreeError, ValueError):
     """A textual word or partition literal could not be parsed."""
+
+
+class OutputError(NcfreeError, OSError):
+    """A result file could not be written."""

@@ -3,16 +3,24 @@
 The generator is realized as a Wishart matrix A = (jump/N) X X^T with X an
 N-by-M standard Gaussian block, M = floor(rate * N); its spectrum tends to
 the free Poisson law, an atom at zero of mass 1 - rate plus a
-Marchenko-Pastur bulk.  Exact matrix letters b are realized as U (b kron I)
-U^T with a single Haar orthogonal U per trial, shared across all letters of
-the trial, so the pair (A, letters) becomes asymptotically free.
+Marchenko-Pastur bulk.  Exact matrix letters b are embedded as b kron I_M,
+with no random rotation: X has i.i.d. Gaussian entries, so U^T X has the law
+of X for every orthogonal U, and (U^T A U, b kron I) has the joint law of
+(A, b kron I) at every N.  The pair is asymptotically free because the law
+of A is orthogonally invariant (Mingo and Speicher, *Free Probability and
+Random Matrices*, ch. 4).
 
-Traces of mixed words are evaluated in the rotated frame: conjugating the
-whole word by U^T shows tr w(A, U C U^T) = tr w(U^T A U, C) exactly, so the
-embedded letters keep their kron structure and a word costs O(n N^2) once
-the rotated Wishart (and, when needed, its square) is formed.  Per-trial
-randomness comes from independent streams seeded by (seed, trial), which
-makes every estimate reproducible and safely parallelizable.
+Since M = N/n, X splits into n square row blocks X_i with Gram blocks
+G_ij = X_i^T X_j, and for a word cut before each generator letter,
+
+    tr_N(Z c_1 Z c_2 ... Z c_k) = (jump/N)^k tr(W(c_1) ... W(c_k)) / N,
+    W(c) = X^T (c kron I) X = sum_ij c_ij G_ij,
+
+by cycling X^T to the front of the trace.  A word therefore costs at most
+k - 2 products of M-by-M matrices and one O(M^2) trace, with no N-by-N
+product at all.  Per-trial randomness
+comes from independent streams seeded by (seed, trial), which makes every
+estimate reproducible and safely parallelizable.
 
 This is the only module in the package that touches floating point.
 """
@@ -32,7 +40,7 @@ from .model import ModelLetter, ModelParams
 
 __all__ = [
     "SimulationConfig", "MomentEstimate", "FreePairSampler",
-    "sample_free_poisson", "sample_free_pair", "estimate_word",
+    "sample_free_poisson",
     "atom_mass_estimate", "mp_support", "mp_density", "mp_continuous_mass",
     "outside_support_fraction",
 ]
@@ -91,13 +99,6 @@ class MomentEstimate:
 
 def _rng(config: SimulationConfig, trial: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, trial])
-
-
-def _haar_orthogonal(rng: np.random.Generator, N: int) -> np.ndarray:
-    # QR of a Ginibre block with the sign of R's diagonal fixed
-    g = rng.standard_normal((N, N))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
 
 
 def _parallel(fn, count: int, threads: int) -> list:
@@ -170,21 +171,18 @@ def outside_support_fraction(eigenvalues: np.ndarray, config: SimulationConfig,
 
 
 # ---------------------------------------------------------------------------
-# mixed words against Haar-rotated exact letters
-
-
-def _as_float_matrix(m) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in m])
+# mixed words through the Gram blocks of X
 
 
 def _word_plan(word: Sequence[ModelLetter], n: int):
-    """Precompile a word into either an exact value or rotated-frame tokens.
+    """Compile a word into its exact value or the factors c_1, ..., c_k.
 
-    Matrix-only words evaluate exactly.  Words containing the generator are
-    cyclically rotated (the trace is invariant) to start at the longest
-    generator run, then compiled into alternating run lengths and collapsed
-    small matrices; the first token is always a generator run, so every small
-    matrix can be absorbed into the full factor on its left.
+    Matrix-only words evaluate exactly to a float.  A word containing the
+    generator is cyclically rotated (the trace is invariant) to start at its
+    longest generator run, then read as Z c_1 Z c_2 ... Z c_k: c_i is the
+    exact product of the matrix letters after the i-th Z, or the identity
+    when there are none.  The factors come back as nested float tuples, so
+    equal plans hash alike.
     """
     word = tuple(word)
     for letter in word:
@@ -195,8 +193,8 @@ def _word_plan(word: Sequence[ModelLetter], n: int):
                 f"matrix letter of size {len(letter.matrix)} in an n={n} simulation")
     if not any(l.is_z for l in word):
         if not word:
-            return ("exact", 1.0)
-        return ("exact", float(ratmat.product_trace(tuple(l.matrix for l in word))))
+            return 1.0
+        return float(ratmat.product_trace(tuple(l.matrix for l in word)))
     q = len(word)
 
     def run_starting(i: int) -> int:
@@ -205,111 +203,65 @@ def _word_plan(word: Sequence[ModelLetter], n: int):
             k += 1
         return k
 
+    # an all-generator word has no run start and keeps its order
     best = max((i for i in range(q) if word[i].is_z and not word[i - 1].is_z),
-               key=run_starting, default=None)
-    if best is None:
-        # every letter is the generator
-        rotated = word
-    else:
-        rotated = word[best:] + word[:best]
-    tokens = []
-    i = 0
-    while i < q:
-        if rotated[i].is_z:
-            k = 0
-            while i + k < q and rotated[i + k].is_z:
-                k += 1
-            tokens.append(("z", k))
-            i += k
+               key=run_starting, default=0)
+    factors = []
+    for letter in word[best:] + word[:best]:
+        if letter.is_z:
+            factors.append(ratmat.identity(n))
         else:
-            mats = []
-            while i < q and not rotated[i].is_z:
-                mats.append(rotated[i].matrix)
-                i += 1
-            acc = mats[0]
-            for m in mats[1:]:
-                acc = ratmat.mat_mul(acc, m)
-            tokens.append(("m", _as_float_matrix(acc)))
-    return ("mixed", tuple(tokens))
-
-
-def _absorb_small(full: np.ndarray, small: np.ndarray, n: int) -> np.ndarray:
-    # full @ (small kron I), using the block structure: O(n^2 N^2)
-    N = full.shape[0]
-    b = N // n
-    f4 = full.reshape(N, n, b)
-    return np.einsum("xtj,tc->xcj", f4, small, optimize=True).reshape(N, N)
-
-
-def _plan_key(plan):
-    # hashable fingerprint; cyclic rotations of a word share it, so a batch
-    # evaluates each necklace once per trial
-    kind, data = plan
-    if kind == "exact":
-        return (kind, data)
-    return (kind, tuple(
-        (t, payload if t == "z" else payload.tobytes()) for t, payload in data))
-
-
-def _plan_needs_square(plan) -> bool:
-    kind, data = plan
-    return kind == "mixed" and any(t == "z" and k >= 2 for t, k in data)
-
-
-def _eval_plan(plan, At: np.ndarray, At2: Optional[np.ndarray], n: int) -> float:
-    kind, data = plan
-    if kind == "exact":
-        return data
-    fulls: list[np.ndarray] = []
-    for t, payload in data:
-        if t == "z":
-            fulls.extend([At] * payload)
-        else:
-            fulls[-1] = _absorb_small(fulls[-1], payload, n)
-    # collapse literal (At, At) pairs into the cached square
-    reduced: list[np.ndarray] = []
-    i = 0
-    while i < len(fulls):
-        if i + 1 < len(fulls) and fulls[i] is At and fulls[i + 1] is At:
-            reduced.append(At2)
-            i += 2
-        else:
-            reduced.append(fulls[i])
-            i += 1
-    while len(reduced) > 2:
-        reduced[0] = reduced[0] @ reduced[1]
-        del reduced[1]
-    N = At.shape[0]
-    if len(reduced) == 1:
-        return float(np.trace(reduced[0])) / N
-    return float(np.einsum("ij,ji->", reduced[0], reduced[1], optimize=True)) / N
+            factors[-1] = ratmat.mat_mul(factors[-1], letter.matrix)
+    return tuple(tuple(tuple(float(x) for x in row) for row in c) for c in factors)
 
 
 class FreePairSampler:
-    """Joint sampler for the Wishart generator and rotated matrix letters.
+    """Joint sampler for the Wishart generator and embedded matrix letters.
 
     Build once per configuration and batch words through
-    :meth:`estimate_words`; each trial's heavy pieces (the rotated Wishart
-    and optionally its square) are formed once and shared by all words.
+    :meth:`estimate_words`.  A trial draws only X; its Gram blocks and each
+    W(c) are formed once per trial and shared by the words of the batch,
+    and nothing is shared between trials.
     """
 
     def __init__(self, config: SimulationConfig):
         self.config = config
 
-    def _trial_values(self, trial: int, plans, need_square: bool) -> np.ndarray:
+    def _trial_values(self, trial: int, plans) -> list[float]:
+        """Traces of the mixed plans in one trial."""
         cfg = self.config
-        N = cfg.N
-        rng = _rng(cfg, trial)
-        X = rng.standard_normal((N, cfg.gaussian_columns))
-        U = _haar_orthogonal(rng, N)
-        any_mixed = any(kind == "mixed" for kind, _ in plans)
-        At = At2 = None
-        if any_mixed:
-            A = (cfg.jump / N) * (X @ X.T)
-            At = U.T @ (A @ U)
-            if need_square:
-                At2 = At @ At
-        return np.array([_eval_plan(p, At, At2, cfg.n) for p in plans])
+        n, N = cfg.n, cfg.N
+        X = _rng(cfg, trial).standard_normal((N, cfg.gaussian_columns))
+        rows = np.split(X, n)
+        gram = {}
+        for i in range(n):
+            for j in range(i, n):
+                gram[i, j] = rows[i].T @ rows[j]
+                gram[j, i] = gram[i, j].T
+        w_memo: dict = {}
+
+        def W(c) -> np.ndarray:
+            # X^T (c kron I) X; a zero c gives a zero M-by-M matrix
+            if c not in w_memo:
+                acc = np.zeros_like(gram[0, 0])
+                for (i, j), g in gram.items():
+                    if c[i][j]:
+                        acc += c[i][j] * g
+                w_memo[c] = acc
+            return w_memo[c]
+
+        scale = cfg.jump / N
+        values = []
+        for plan in plans:
+            if len(plan) == 1:
+                trace = np.trace(W(plan[0]))
+            else:
+                acc = W(plan[0])
+                for c in plan[1:-1]:
+                    acc = acc @ W(c)
+                trace = np.einsum("ij,ji->", acc, W(plan[-1]))
+            values.append(scale ** len(plan) * float(trace) / N)
+        return values
 
     def estimate_words(self, words: Sequence[Sequence[ModelLetter]], *,
                        trials: Optional[int] = None,
@@ -319,21 +271,17 @@ class FreePairSampler:
         if T < 1:
             raise ConfigError(f"trials must be >= 1, got {T}")
         plans = [_word_plan(w, cfg.n) for w in words]
-        unique: dict = {}
-        slots = []
-        for p in plans:
-            key = _plan_key(p)
-            if key not in unique:
-                unique[key] = (len(unique), p)
-            slots.append(unique[key][0])
-        todo = [p for _, p in unique.values()]
-        need_square = any(_plan_needs_square(p) for p in todo)
-        rows = _parallel(lambda t: self._trial_values(t, todo, need_square),
-                         T, threads)
-        values = np.stack(rows)[:, slots]  # (trials, words)
+        mixed = list(dict.fromkeys(p for p in plans if isinstance(p, tuple)))
+        column = {p: j for j, p in enumerate(mixed)}
+        if mixed:
+            values = np.array(_parallel(
+                lambda t: self._trial_values(t, mixed), T, threads))
         out = []
-        for j in range(values.shape[1]):
-            col = values[:, j]
+        for p in plans:
+            if not isinstance(p, tuple):
+                out.append(MomentEstimate(p, 0.0, T, T > 1))
+                continue
+            col = values[:, column[p]]
             if T > 1:
                 se = float(np.std(col, ddof=1) / math.sqrt(T))
                 out.append(MomentEstimate(float(col.mean()), se, T, True))
@@ -344,14 +292,3 @@ class FreePairSampler:
     def estimate(self, word: Sequence[ModelLetter], *,
                  trials: Optional[int] = None, threads: int = 1) -> MomentEstimate:
         return self.estimate_words([word], trials=trials, threads=threads)[0]
-
-
-def sample_free_pair(config: SimulationConfig) -> FreePairSampler:
-    """Context for estimating mixed word traces; see :class:`FreePairSampler`."""
-    return FreePairSampler(config)
-
-
-def estimate_word(context: FreePairSampler, word: Sequence[ModelLetter], *,
-                  trials: Optional[int] = None, threads: int = 1) -> MomentEstimate:
-    """Estimate the trace of one word; convenience over the batch method."""
-    return context.estimate(word, trials=trials, threads=threads)

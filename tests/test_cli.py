@@ -203,6 +203,11 @@ def test_rmt_sample_with_csv(capsys, tmp_path):
     assert min(values) == 0.0
 
 
+def test_rmt_sample_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    expect_usage_error(capsys, "rmt", "sample", "--n", "2", "--N", "120",
+                       "--trials", "1", "--out", str(tmp_path / "no" / "x.csv"))
+
+
 def test_rmt_estimate(capsys):
     doc = run_json(capsys, "rmt", "estimate", "--n", "2", "--N", "120",
                    "--trials", "3", "--seed", "5", "--word", "Z")

@@ -1,10 +1,12 @@
-"""Random matrix sampler: determinism, structure, and the rotated frame.
+"""Random matrix sampler: determinism, structure, and the Gram-block path.
 
-The heaviest correctness check here rebuilds each trial's random matrices
-and evaluates words by explicit embedding (kron plus conjugation), then
-compares against the optimized rotated-frame path.
+The heaviest correctness check here rebuilds each trial's Gaussian block X
+and evaluates words by explicit embedding, multiplying the N-by-N Wishart
+matrix and the letters b kron I, then compares against the optimized path
+that cycles each word into Z c_1 ... Z c_k and evaluates it through the
+Gram blocks of X.
 """
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -16,21 +18,20 @@ from ncfree.model import Z, matrix_letter
 from ncfree.rmt import (
     FreePairSampler,
     SimulationConfig,
-    _haar_orthogonal,
     _rng,
     atom_mass_estimate,
-    estimate_word,
     mp_continuous_mass,
     mp_density,
     mp_support,
     outside_support_fraction,
-    sample_free_pair,
     sample_free_poisson,
 )
 
 E11 = matrix_letter([[1, 0], [0, 0]])
 SYM = matrix_letter([[0, 1], [1, 0]])
 SKEW = matrix_letter([["1/2", 2], [-1, "1/3"]])
+E11_3 = matrix_letter([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+MIX_3 = matrix_letter([[0, 1, "1/2"], [1, 0, 0], [2, 0, -1]])
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +125,9 @@ def test_mp_masses_and_moments():
 
 
 def naive_word_trace(word, cfg, trial):
-    """Rebuild the trial's matrices and evaluate by explicit embedding."""
+    """Rebuild the trial's X and evaluate by the unrotated kron embedding."""
     N = cfg.N
-    rng = _rng(cfg, trial)
-    X = rng.standard_normal((N, cfg.gaussian_columns))
-    U = _haar_orthogonal(rng, N)
+    X = _rng(cfg, trial).standard_normal((N, cfg.gaussian_columns))
     A = (cfg.jump / N) * (X @ X.T)
     eye = np.eye(N // cfg.n)
     prod = np.eye(N)
@@ -137,7 +136,7 @@ def naive_word_trace(word, cfg, trial):
             prod = prod @ A
         else:
             small = np.array([[float(x) for x in row] for row in letter.matrix])
-            prod = prod @ (U @ np.kron(small, eye) @ U.T)
+            prod = prod @ np.kron(small, eye)
     return float(np.trace(prod)) / N
 
 
@@ -150,12 +149,38 @@ def naive_word_trace(word, cfg, trial):
     (Z, Z, Z, E11, SYM),
     (Z, E11, SYM, Z, SKEW),
     (Z, Z, E11, Z, SYM, Z),
+    (Z, Z, Z),
+    # E11 SYM E11 = 0: the run's factor W(0) is a zero block
+    (Z, E11, SYM, E11),
+    (Z, Z, E11, SYM, E11, Z, SKEW),
+    (Z, E11_3, Z, MIX_3),
+    (MIX_3, Z, Z, E11_3, MIX_3, Z),
+    (Z, MIX_3, MIX_3, Z, Z, Z, E11_3),
 ])
 def test_rotated_frame_matches_naive_embedding(word):
-    cfg = SimulationConfig(n=2, N=120, trials=1, seed=17)
-    got = FreePairSampler(cfg).estimate(word).value
-    expected = naive_word_trace(word, cfg, trial=0)
-    assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    # the word's cyclic rotation Z c_1 ... Z c_k through the Gram blocks;
+    # an all-generator word runs at both sizes
+    sizes = {len(letter.matrix) for letter in word if not letter.is_z} or {2, 3}
+    for n in sorted(sizes):
+        cfg = SimulationConfig(n=n, N=120, trials=1, seed=17)
+        got = FreePairSampler(cfg).estimate(word).value
+        expected = naive_word_trace(word, cfg, trial=0)
+        assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, alphabet", [
+    (2, [Z, E11, SKEW]),
+    (3, [Z, E11_3, MIX_3]),
+])
+def test_word_batch_matches_naive_embedding(n, alphabet):
+    # one batch, so words share W(c) within each trial
+    cfg = SimulationConfig(n=n, N=120, trials=2, seed=19)
+    words = [w for q in range(1, 5) for w in itertools.product(alphabet, repeat=q)
+             if Z in w]
+    got = FreePairSampler(cfg).estimate_words(words)
+    for word, est in zip(words, got):
+        expected = np.mean([naive_word_trace(word, cfg, t) for t in range(2)])
+        assert est.value == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 def test_matrix_only_words_are_exact():
@@ -180,7 +205,6 @@ def test_estimates_are_deterministic_and_dedupe_rotations():
     assert ests[2].value == pytest.approx(ests[0].value, rel=1e-10)
     again = sampler.estimate_words(words, threads=2)
     assert [e.value for e in again] == [e.value for e in ests]
-    assert estimate_word(sample_free_pair(cfg), words[0]).value == ests[0].value
 
 
 def test_estimate_flags_and_trial_overrides():
