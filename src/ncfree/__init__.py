@@ -36,7 +36,6 @@ from .freeprob import (
     TracialLetter,
     free_poisson_cumulant,
     free_poisson_moment,
-    free_product_moment,
     freeness_check,
     mixed_cumulant,
 )
@@ -87,7 +86,7 @@ __all__ = [
     # free probability
     "AlgebraOracle", "MatrixTraceOracle", "FreePoissonOracle", "TracialLetter",
     "FreeProduct", "FreenessReport", "free_poisson_cumulant",
-    "free_poisson_moment", "free_product_moment", "mixed_cumulant",
+    "free_poisson_moment", "mixed_cumulant",
     "freeness_check",
     # model
     "ModelParams", "ModelLetter", "Z", "matrix_letter", "dim_box",

@@ -1,30 +1,27 @@
-"""Registry of memo tables so they can be flushed in one call.
+"""The package's one memo policy: unbounded ``lru_cache`` tables, flushed together.
 
-Long verification runs lean on module-level memoization (word traces,
-centering expansions, matrix products).  Tests that monkeypatch a formula
-need a way to drop every cached value first, otherwise stale entries would
-mask the patch.
+Every package-level memo (partition tables, Mobius values, block traces,
+word traces, the centering engines) is a function decorated with
+:func:`memo`.  Arguments must be hashable; the tables grow without a bound
+for the life of the process, or until :func:`clear_all` empties every one
+of them at once.  Tests that monkeypatch a formula call ``clear_all`` first,
+otherwise stale entries would mask the patch.
 """
 from __future__ import annotations
 
-from typing import Callable, MutableMapping
+from functools import lru_cache
 
-_TABLES: list[MutableMapping] = []
-_CLEARERS: list[Callable[[], None]] = []
-
-
-def register_table(table: MutableMapping) -> MutableMapping:
-    _TABLES.append(table)
-    return table
+_MEMOS: list = []
 
 
-def register_clearer(fn: Callable[[], None]) -> None:
-    _CLEARERS.append(fn)
+def memo(fn):
+    """Memoise ``fn`` without a size bound and register it with clear_all."""
+    cached = lru_cache(maxsize=None)(fn)
+    _MEMOS.append(cached)
+    return cached
 
 
 def clear_all() -> None:
-    """Empty every registered memo table in the package."""
-    for t in _TABLES:
-        t.clear()
-    for fn in _CLEARERS:
-        fn()
+    """Empty every memo table in the package."""
+    for cached in _MEMOS:
+        cached.cache_clear()

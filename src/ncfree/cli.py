@@ -73,18 +73,17 @@ def _parse_matrix_text(text: str) -> list[list[Fraction]]:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
+    # an empty item fails int() like any other non-integer
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
+        return tuple(int(t) for t in text.split(","))
     except ValueError as exc:
         raise WordSyntaxError(f"expected comma-separated integers, got "
                               f"{text!r}") from exc
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
-    items = [t for t in text.split(",") if t.strip()]
-    if not items:
-        raise WordSyntaxError("expected a comma-separated list of rationals")
-    return [ratmat.parse_rational(t) for t in items]
+    # an empty item, or an empty list, fails parse_rational
+    return [ratmat.parse_rational(t) for t in text.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,7 @@ def _parse_rational_list(text: str) -> list[Fraction]:
 
 
 def _cmd_nc_enum(args) -> tuple[dict, int]:
-    parts = ncpart.enumerate_nc(range(1, args.q + 1), cap=args.cap)
+    parts = ncpart.enumerate_nc(range(1, args.q + 1))
     result = {"count": len(parts), "partitions": [str(p) for p in parts]}
     return _doc("nc enum", {"q": args.q}, result, EXACT), 0
 
@@ -325,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ncsub = nc.add_subparsers(dest="cmd", required=True)
     p = ncsub.add_parser("enum", help="enumerate NC(q)")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--cap", type=int, default=ncpart.DEFAULT_ENUMERATION_CAP)
     p.set_defaults(handler=_cmd_nc_enum)
     p = ncsub.add_parser("mobius", help="Mobius function at a pair")
     p.add_argument("--pi", required=True)

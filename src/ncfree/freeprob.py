@@ -128,10 +128,11 @@ def free_poisson_moment(rate, jump, m: int, *,
         raise ArityError(f"moment order must be >= 0, got {m}")
     if m == 0:
         return Fraction(1)
+    ncpart._check_cap(m, cap)
     rate = Fraction(rate)
     jump = Fraction(jump)
     total = Fraction(0)
-    for blocks, _ in ncpart.iter_partitions_with_mobius(m, cap=cap):
+    for blocks in ncpart._iter_partitions(m):
         total += rate ** len(blocks)
     return total * jump ** m
 
@@ -220,13 +221,6 @@ class FreeProduct:
         return value
 
 
-def free_product_moment(oracles: Mapping[int, AlgebraOracle],
-                        word: Sequence[TracialLetter], *,
-                        cap: int = DEFAULT_WORD_CAP) -> Fraction:
-    """One-shot convenience wrapper around :class:`FreeProduct`."""
-    return FreeProduct(oracles, cap=cap).moment(word)
-
-
 # ---------------------------------------------------------------------------
 # mixed cumulants and the freeness certificate
 
@@ -267,8 +261,11 @@ def freeness_check(generator_sets: Sequence[Sequence], max_q: int,
     draws letters from at least two different sets, and evaluates its free
     cumulant against ``moment_source``.  Letters should be distinct across
     sets.  If max_q exceeds the word cap the sweep stops at the cap and the
-    report is marked truncated instead of raising.
+    report is marked truncated instead of raising.  A max_q below 2 would
+    check no tuple at all and raises :class:`ArityError`.
     """
+    if max_q < 2:
+        raise ArityError(f"a freeness sweep needs max_q >= 2, got {max_q}")
     tagged = [(tag, letter) for tag, group in enumerate(generator_sets)
               for letter in group]
     limit = min(max_q, word_cap)

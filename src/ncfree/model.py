@@ -19,14 +19,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import ncpart, ratmat
-from ._caches import register_table
+from ._caches import memo
 from .errors import ArityError, ConfigError, GroundMismatchError
 from .freeprob import (
     FreeProduct,
     FreePoissonOracle,
     MatrixTraceOracle,
     TracialLetter,
-    free_poisson_cumulant,
     mixed_cumulant,
 )
 from .ncpart import NonCrossingPartition
@@ -40,11 +39,6 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
             raise ConfigError(f"n must be an integer >= 2, got {self.n!r}")
-
-    @property
-    def delta_sq(self) -> Fraction:
-        """Square of the scale parameter; equals n."""
-        return Fraction(self.n)
 
 
 @dataclass(frozen=True)
@@ -119,9 +113,10 @@ def z_moment(m: int, params: ModelParams, *,
         raise ArityError(f"moment order must be >= 0, got {m}")
     if m == 0:
         return Fraction(1)
+    ncpart._check_cap(m, cap)
     n = params.n
     total = 0
-    for blocks, _ in ncpart.iter_partitions_with_mobius(m, cap=cap):
+    for blocks in ncpart._iter_partitions(m):
         total += n ** (m - len(blocks))
     return Fraction(total)
 
@@ -129,18 +124,15 @@ def z_moment(m: int, params: ModelParams, *,
 # ---------------------------------------------------------------------------
 # word traces by partition factorization
 
-_TRACE_MEMO: dict = register_table({})
-_TAU_MEMO: dict = register_table({})
+@memo
+def _product_trace(mats: tuple) -> Fraction:
+    # looks ratmat.product_trace up at call time, so wrapping it sees these calls
+    return ratmat.product_trace(mats)
 
 
 def _block_trace(word: Sequence[ModelLetter], positions: Sequence[int]) -> Fraction:
     """Normalized trace of the matrix letters at the given 1-based positions."""
-    mats = tuple(word[j - 1].matrix for j in positions)
-    hit = _TRACE_MEMO.get(mats)
-    if hit is None:
-        hit = ratmat.product_trace(mats)
-        _TRACE_MEMO[mats] = hit
-    return hit
+    return _product_trace(tuple(word[j - 1].matrix for j in positions))
 
 
 def _cumulant_weight(n: int, d_size: int, block_count: int) -> int:
@@ -159,26 +151,26 @@ def tau_word(word: Sequence[ModelLetter], params: ModelParams, *,
     grouping handles them.  The empty word has trace 1.
     """
     word = tuple(word)
-    D, E = _split_word(word, params)
+    D, _ = _split_word(word, params)
     ncpart._check_cap(len(D), cap)
-    key = (word, params.n)
-    hit = _TAU_MEMO.get(key)
-    if hit is not None:
-        return hit
-    n = params.n
+    return _tau(word, params.n)
+
+
+@memo
+def _tau(word: tuple, n: int) -> Fraction:
+    # the partition sum of tau_word on a validated word below the cap
+    D = tuple(i for i, letter in enumerate(word, start=1) if letter.is_z)
+    E = tuple(i for i, letter in enumerate(word, start=1) if not letter.is_z)
     if not D:
-        value = _block_trace(word, E) if E else Fraction(1)
-    else:
-        total = Fraction(0)
-        for blocks in ncpart._iter_partitions(len(D)):
-            pi_blocks = ncpart._relabel(blocks, D)
-            term = Fraction(_cumulant_weight(n, len(D), len(pi_blocks)))
-            for V in ncpart._rest_complement(pi_blocks, E):
-                term *= _block_trace(word, V)
-            total += term
-        value = total
-    _TAU_MEMO[key] = value
-    return value
+        return _block_trace(word, E) if E else Fraction(1)
+    total = Fraction(0)
+    for blocks in ncpart._iter_partitions(len(D)):
+        pi_blocks = ncpart._relabel(blocks, D)
+        term = Fraction(_cumulant_weight(n, len(D), len(pi_blocks)))
+        for V in ncpart._rest_complement(pi_blocks, E):
+            term *= _block_trace(word, V)
+        total += term
+    return total
 
 
 @dataclass(frozen=True)
@@ -254,17 +246,8 @@ def pi_term(word: Sequence[ModelLetter], pi: NonCrossingPartition,
 
 def _matrix_cumulant(word: Sequence[ModelLetter],
                      positions: Sequence[int]) -> Fraction:
-    mats = tuple(word[j - 1] for j in positions)
-    return Fraction(mixed_cumulant(mats, _block_trace_letters))
-
-
-def _block_trace_letters(letters: tuple) -> Fraction:
-    mats = tuple(l.matrix for l in letters)
-    hit = _TRACE_MEMO.get(mats)
-    if hit is None:
-        hit = ratmat.product_trace(mats)
-        _TRACE_MEMO[mats] = hit
-    return hit
+    mats = tuple(word[j - 1].matrix for j in positions)
+    return Fraction(mixed_cumulant(mats, _product_trace))
 
 
 def tilde_kappa(word: Sequence[ModelLetter], sigma: NonCrossingPartition,
@@ -299,22 +282,16 @@ def tilde_kappa(word: Sequence[ModelLetter], sigma: NonCrossingPartition,
 # ---------------------------------------------------------------------------
 # independent route through the free product centering algorithm
 
-_FREE_PRODUCTS: dict = register_table({})
-
 _Z_ALGEBRA = 0
 _MATRIX_ALGEBRA = 1
 
 
+@memo
 def _free_product(n: int, cap: int) -> FreeProduct:
-    key = (n, cap)
-    fp = _FREE_PRODUCTS.get(key)
-    if fp is None:
-        fp = FreeProduct(
-            {_Z_ALGEBRA: FreePoissonOracle(Fraction(1, n), n),
-             _MATRIX_ALGEBRA: MatrixTraceOracle(n)},
-            cap=cap)
-        _FREE_PRODUCTS[key] = fp
-    return fp
+    return FreeProduct(
+        {_Z_ALGEBRA: FreePoissonOracle(Fraction(1, n), n),
+         _MATRIX_ALGEBRA: MatrixTraceOracle(n)},
+        cap=cap)
 
 
 def as_free_product_word(word: Sequence[ModelLetter]) -> tuple[TracialLetter, ...]:
@@ -338,8 +315,3 @@ def centering_moment(word: Sequence[ModelLetter], params: ModelParams, *,
     """
     _split_word(word, params)
     return _free_product(params.n, cap).moment(as_free_product_word(word))
-
-
-def z_cumulant_reference(q: int, params: ModelParams) -> Fraction:
-    """The generator cumulant via the free Poisson family; equals z_cumulant."""
-    return free_poisson_cumulant(Fraction(1, params.n), params.n, q)

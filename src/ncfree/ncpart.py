@@ -27,10 +27,9 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from ._caches import register_clearer
+from ._caches import memo
 from .errors import (
     ArityError,
     GroundMismatchError,
@@ -301,7 +300,7 @@ def _gen_partitions(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], .
                 yield tuple(blocks)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _cached_partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(_gen_partitions(tuple(range(k))))
 
@@ -422,25 +421,24 @@ def kreweras_complement(pi: NonCrossingPartition) -> NonCrossingPartition:
     coarsest partition of the duals compatible with pi; relabel back.
     Satisfies len(pi) + len(complement) == len(ground) + 1.
     """
-    m = len(pi.ground)
-    evens = tuple(tuple(2 * i for i in b) for b in pi.position_blocks())
+    blocks = _kreweras_blocks(pi.position_blocks(), len(pi.ground))
+    return NonCrossingPartition._raw(pi.ground, _relabel(blocks, pi.ground))
+
+
+def _kreweras_blocks(pos_blocks: Sequence[tuple[int, ...]],
+                     m: int) -> tuple[tuple[int, ...], ...]:
+    # Kreweras complement on positions 0..m-1: position i sits at 2i and its
+    # dual at 2i+1; take the complement on the duals and halve back
+    evens = tuple(tuple(2 * i for i in b) for b in pos_blocks)
     odds = tuple(2 * i + 1 for i in range(m))
-    comp = _rest_complement(evens, odds)
-    blocks = tuple(tuple(pi.ground[(x - 1) // 2] for x in b) for b in comp)
-    return NonCrossingPartition._raw(pi.ground, blocks)
+    return tuple(tuple(x // 2 for x in b) for b in _rest_complement(evens, odds))
 
 
 # ---------------------------------------------------------------------------
 # Mobius function
 
 
-def _kreweras_sizes(pos_blocks: Sequence[tuple[int, ...]], m: int) -> tuple[int, ...]:
-    evens = tuple(tuple(2 * i for i in b) for b in pos_blocks)
-    odds = tuple(2 * i + 1 for i in range(m))
-    return tuple(len(b) for b in _rest_complement(evens, odds))
-
-
-@lru_cache(maxsize=None)
+@memo
 def _mu_one(s: int) -> int:
     # mu(bottom, top) on NC(s) through the defining recursion: the interval
     # sum over [rho, top] vanishes, and for rho above the bottom the value
@@ -449,19 +447,15 @@ def _mu_one(s: int) -> int:
         return 1
     total = 0
     for blocks in _iter_partitions(s):
-        if len(blocks) == s:
-            continue
-        prod = 1
-        for t in _kreweras_sizes(blocks, s):
-            prod *= _mu_one(t)
-        total += prod
+        if len(blocks) < s:
+            total += _mu_to_top(blocks, s)
     return -total
 
 
 def _mu_to_top(pos_blocks: Sequence[tuple[int, ...]], m: int) -> int:
     prod = 1
-    for t in _kreweras_sizes(pos_blocks, m):
-        prod *= _mu_one(t)
+    for b in _kreweras_blocks(pos_blocks, m):
+        prod *= _mu_one(len(b))
     return prod
 
 
@@ -504,14 +498,9 @@ def iter_partitions_with_mobius(q: int, *, cap: int = DEFAULT_ENUMERATION_CAP
     return ((blocks, _mu_to_top(blocks, q)) for blocks in _iter_partitions(q))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _cached_with_mobius(q: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
     return tuple((blocks, _mu_to_top(blocks, q)) for blocks in _cached_partitions(q))
-
-
-register_clearer(_cached_partitions.cache_clear)
-register_clearer(_mu_one.cache_clear)
-register_clearer(_cached_with_mobius.cache_clear)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +547,9 @@ def cumulants_to_moments(kappa: PartitionFunctional, letters: Sequence, *,
     q = len(letters)
     if q == 0:
         raise ArityError("moment of an empty tuple is undefined")
+    _check_cap(q, cap)
     total: ExactScalar = 0
-    for blocks, _ in iter_partitions_with_mobius(q, cap=cap):
+    for blocks in _iter_partitions(q):
         term: ExactScalar = 1
         for b in blocks:
             term *= kappa(tuple(letters[i] for i in b))

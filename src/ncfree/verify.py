@@ -8,6 +8,7 @@ Carlo one are exact rational computations.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -47,20 +48,6 @@ def _finish(name: str, problems: list, summary: str, t0: float) -> CheckResult:
         more = f" (+{len(problems) - 3} more)" if len(problems) > 3 else ""
         return CheckResult(name, False, f"{head}{more} [{elapsed:.1f}s]")
     return CheckResult(name, True, f"{summary} [{elapsed:.1f}s]")
-
-
-def _memoized(fn: Callable) -> Callable:
-    memo: dict = {}
-
-    def wrap(word):
-        word = tuple(word)
-        v = memo.get(word)
-        if v is None:
-            v = fn(word)
-            memo[word] = v
-        return v
-
-    return wrap
 
 
 class _RandomFunctional:
@@ -151,10 +138,10 @@ def check_moment_cumulant_transforms(quick: bool = False) -> CheckResult:
         given = _RandomFunctional(rng)
         if trial % 4 < 2:
             # treat the randoms as moments, derive cumulants, map back
-            derived = _memoized(lambda w: ncpart.moments_to_cumulants(given, w))
+            derived = functools.cache(lambda w: ncpart.moments_to_cumulants(given, w))
             back = ncpart.cumulants_to_moments
         else:
-            derived = _memoized(lambda w: ncpart.cumulants_to_moments(given, w))
+            derived = functools.cache(lambda w: ncpart.cumulants_to_moments(given, w))
             back = ncpart.moments_to_cumulants
         for q in range(1, max_q + 1):
             letters = letters_full[:q]
@@ -165,7 +152,7 @@ def check_moment_cumulant_transforms(quick: bool = False) -> CheckResult:
     forms = 0
     for trial in range(forms_functionals):
         phi = _RandomFunctional(rng)
-        kappa = _memoized(lambda w: ncpart.moments_to_cumulants(phi, w))
+        kappa = functools.cache(lambda w: ncpart.moments_to_cumulants(phi, w))
         for q in range(1, forms_q + 1):
             letters = base[:q]
             for tau in ncpart.enumerate_nc(range(1, q + 1)):
@@ -272,7 +259,7 @@ def check_generator_free_poisson(quick: bool = False) -> CheckResult:
             if m <= len(frozen) and mom != frozen[m - 1]:
                 problems.append(f"n={n}: moment {m} is {mom}, "
                                 f"expected {frozen[m - 1]}")
-        phi = _memoized(lambda w: model.z_moment(len(w), params))
+        phi = functools.cache(lambda w: model.z_moment(len(w), params))
         for q in range(1, max_order + 1):
             got = ncpart.moments_to_cumulants(phi, ("z",) * q)
             if got != n ** (q - 1):
@@ -338,7 +325,7 @@ def check_mixed_cumulants_vanish(quick: bool = False) -> CheckResult:
     checked = 0
     for n, mats, max_q in runs:
         params = ModelParams(n)
-        source = _memoized(lambda w: model.tau_word(w, params))
+        source = functools.cache(lambda w: model.tau_word(w, params))
         report = freeprob.freeness_check([[Z], mats], max_q, source)
         checked += report.tuples_checked
         m = len(mats)
@@ -467,17 +454,17 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
     rate MC_FAMILY_RATE / m (Bonferroni over the m mixed words), so over
     seeds a correct sampler with near-normal trial values fails at most at
     about that rate; the second term allows for the O(1/N) bias of a
-    finite-N Wishart word trace.
+    finite-N Wishart word trace.  The mean eigenvalue passes when it lies
+    within t * SE of 1, with t the quantile at the two-sided rate
+    MC_FAMILY_RATE on the same degrees of freedom.
     """
     from scipy import stats
 
     t0 = time.perf_counter()
     if quick:
         config = rmt.SimulationConfig(n=2, N=300, trials=8, seed=VERIFY_SEED)
-        max_len = 3
     else:
         config = rmt.SimulationConfig(n=2, N=2000, trials=50, seed=VERIFY_SEED)
-        max_len = 4
     params = ModelParams(config.n)
     problems: list[str] = []
 
@@ -492,8 +479,10 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
     trial_means = eigs.mean(axis=1)
     mean = float(trial_means.mean())
     mean_se = float(trial_means.std(ddof=1)) / math.sqrt(config.trials)
-    if abs(mean - 1.0) > max(3 * mean_se, 1e-12):
-        problems.append(f"mean eigenvalue {mean:.5f} not within 3 SE of 1")
+    mean_t = float(stats.t.isf(MC_FAMILY_RATE / 2, config.trials - 1))
+    if abs(mean - 1.0) > max(mean_t * mean_se, 1e-12):
+        problems.append(f"mean eigenvalue {mean:.5f} not within "
+                        f"{mean_t:.2f} SE of 1")
     spill = rmt.outside_support_fraction(eigs, config)
     if spill > 0.01:
         problems.append(f"{spill:.3%} of bulk eigenvalues outside the support")
@@ -502,8 +491,9 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
     x = matrix_letter(ratmat.mat_add(ratmat.matrix_unit(2, 1, 2),
                                      ratmat.matrix_unit(2, 2, 1)))
     alphabet = [Z, e11, x]
-    words = [w for q in range(1, max_len + 1)
-             for w in itertools.product(alphabet, repeat=q)]
+    # length 4 is the shortest at which a word sees G_ji versus G_ij^T for
+    # this symmetric alphabet, so both depths go that far
+    words = [w for q in range(1, 5) for w in itertools.product(alphabet, repeat=q)]
     estimates = rmt.FreePairSampler(config).estimate_words(words, threads=threads)
     mixed_count = sum(1 for w in words if any(l.is_z for l in w))
     t_quantile = float(stats.t.isf(MC_FAMILY_RATE / (2 * mixed_count),

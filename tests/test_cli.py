@@ -44,6 +44,12 @@ def test_nc_enum(capsys):
 
 def test_nc_enum_cap_is_a_usage_error(capsys):
     expect_usage_error(capsys, "nc", "enum", "--q", "20")
+    # the library's default cap guards any size; the CLI offers no override
+    expect_usage_error(capsys, "nc", "enum", "--q", "30")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nc", "enum", "--q", "3", "--cap", "40"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_nc_mobius(capsys):
@@ -70,6 +76,12 @@ def test_nc_pitilde_rejects_crossing(capsys):
                        "--d", "1,2,3,4", "--pi", "{1,3}{2,4}")
 
 
+@pytest.mark.parametrize("d", ["2,,5", "2,5,", ",2,5", ""])
+def test_nc_pitilde_rejects_empty_list_items(capsys, d):
+    expect_usage_error(capsys, "nc", "pitilde", "--q", "5", "--d", d,
+                       "--pi", "{2,5}")
+
+
 # ---------------------------------------------------------------------------
 # cumulants
 
@@ -84,6 +96,12 @@ def test_cumulant_transforms_roundtrip(capsys):
 def test_cumulants_reject_bad_rationals(capsys):
     expect_usage_error(capsys, "cumulants", "from-moments", "--moments", "1,x")
     expect_usage_error(capsys, "cumulants", "to-moments", "--cumulants", "")
+
+
+@pytest.mark.parametrize("items", ["1,,", "1,,3", ",1", "1, ,3"])
+def test_cumulants_reject_empty_list_items(capsys, items):
+    expect_usage_error(capsys, "cumulants", "from-moments", "--moments", items)
+    expect_usage_error(capsys, "cumulants", "to-moments", "--cumulants", items)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +166,11 @@ def test_free_check_certifies(capsys):
     assert result["violations"] == []
     # 5 letters, minus the all-generator and all-matrix tuples, q = 2..3
     assert result["tuples_checked"] == sum(5 ** q - 1 - 4 ** q for q in (2, 3))
+
+
+@pytest.mark.parametrize("max_q", ["1", "0"])
+def test_free_check_refuses_a_vacuous_certificate(capsys, max_q):
+    expect_usage_error(capsys, "free", "check", "--n", "2", "--max-q", max_q)
 
 
 def test_free_product_moment(capsys):

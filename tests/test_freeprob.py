@@ -19,7 +19,6 @@ from ncfree.freeprob import (
     TracialLetter,
     free_poisson_cumulant,
     free_poisson_moment,
-    free_product_moment,
     freeness_check,
     mixed_cumulant,
 )
@@ -192,12 +191,6 @@ def test_word_cap_and_config_errors():
         fp.moment((TracialLetter(7, 1),))
 
 
-def test_one_shot_wrapper_matches_instance():
-    oracles = {0: FreePoissonOracle(Fraction(1, 2), 2), 1: MatrixTraceOracle(2)}
-    word = (TracialLetter(0, 1), TracialLetter(1, ratmat.matrix_unit(2, 1, 1))) * 2
-    assert free_product_moment(oracles, word) == FreeProduct(oracles).moment(word)
-
-
 # ---------------------------------------------------------------------------
 # mixed cumulants and the certificate
 
@@ -252,3 +245,13 @@ def test_freeness_check_reports_truncation():
     assert not report.certified
     assert report.max_q == 12
     assert report.tuples_checked == sum(2 ** q - 2 for q in range(2, 4))
+
+
+def test_freeness_check_refuses_a_vacuous_sweep():
+    # below q = 2 no tuple mixes two sets, so a certificate would be empty
+    fp = make_pair()
+    a = TracialLetter(0, 1)
+    x = TracialLetter(1, ratmat.matrix_unit(2, 1, 1))
+    for max_q in (1, 0, -1):
+        with pytest.raises(ArityError):
+            freeness_check([[a], [x]], max_q, fp.moment)

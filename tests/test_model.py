@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import ncfree
 from ncfree import model, ncpart, ratmat
 from ncfree.errors import (
     ArityError,
@@ -16,7 +17,11 @@ from ncfree.errors import (
     GroundMismatchError,
     SizeLimitError,
 )
-from ncfree.freeprob import TracialLetter, free_poisson_moment
+from ncfree.freeprob import (
+    TracialLetter,
+    free_poisson_cumulant,
+    free_poisson_moment,
+)
 from ncfree.model import (
     ModelLetter,
     ModelParams,
@@ -31,7 +36,6 @@ from ncfree.model import (
     tau_word,
     tilde_kappa,
     z_cumulant,
-    z_cumulant_reference,
     z_moment,
 )
 from ncfree.ncpart import NonCrossingPartition
@@ -57,7 +61,6 @@ def rand_matrix_letter(rng, n):
 
 
 def test_params_validation():
-    assert ModelParams(2).delta_sq == 2
     for bad in [1, 0, -3, True, 2.5, "2"]:
         with pytest.raises(ConfigError):
             ModelParams(bad)
@@ -100,7 +103,7 @@ def test_z_cumulant_closed_form_and_reference():
         p = ModelParams(n)
         for q in range(1, 11):
             assert z_cumulant(q, p) == n ** (q - 1)
-            assert z_cumulant(q, p) == z_cumulant_reference(q, p)
+            assert z_cumulant(q, p) == free_poisson_cumulant(Fraction(1, n), n, q)
     with pytest.raises(ArityError):
         z_cumulant(0, P2)
 
@@ -117,6 +120,16 @@ def test_z_moment_matches_free_poisson_family():
         p = ModelParams(n)
         for m in range(0, 9):
             assert z_moment(m, p) == free_poisson_moment(Fraction(1, n), n, m)
+
+
+def test_sums_without_mobius_weights_build_no_mobius_table():
+    ncfree.clear_caches()
+    z_moment(8, P2)
+    z_moment(8, P3)
+    free_poisson_moment(Fraction(1, 2), 2, 8)
+    ncpart.cumulants_to_moments(lambda w: Fraction(len(w)), tuple("abcdefgh"))
+    assert ncpart._cached_with_mobius.cache_info().currsize == 0
+    assert ncpart._mu_one.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
