@@ -54,6 +54,8 @@ class ModelLetter:
         elif self.kind == "matrix":
             if self.matrix is None:
                 raise ConfigError("matrix letter without a matrix")
+            # square rows of Fractions, so that letters hash and compare by value
+            object.__setattr__(self, "matrix", ratmat.matrix(self.matrix))
         else:
             raise ConfigError(f"unknown letter kind {self.kind!r}")
 
@@ -67,7 +69,7 @@ Z = ModelLetter("Z")
 
 def matrix_letter(rows) -> ModelLetter:
     """Wrap a square rational matrix as a word letter."""
-    return ModelLetter("matrix", ratmat.matrix(rows))
+    return ModelLetter("matrix", rows)
 
 
 def _split_word(word: Sequence[ModelLetter], params: ModelParams

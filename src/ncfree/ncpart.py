@@ -74,7 +74,7 @@ def _check_cap(k: int, cap: int) -> None:
     if k > cap:
         raise SizeLimitError(
             f"ground of size {k} has {catalan(k)} non-crossing partitions, "
-            f"above the cap of {cap}; pass cap= explicitly to override")
+            f"above the cap of {cap}; library calls take a cap keyword to raise it")
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,12 @@ G_ij = X_i^T X_j, and for a word cut before each generator letter,
 
 by cycling X^T to the front of the trace.  A word therefore costs at most
 k - 2 products of M-by-M matrices and one O(M^2) trace, with no N-by-N
-product at all.  Per-trial randomness
-comes from independent streams seeded by (seed, trial), which makes every
-estimate reproducible and safely parallelizable.
+product at all.  Each word's factors c_1, ..., c_k are compiled once per
+(word, n) in exact arithmetic and memoised under the package's memo policy.
+The spectrum of A likewise comes from the M-by-M Gram X^T X, which shares
+the nonzero eigenvalues of X X^T.  Per-trial randomness comes from
+independent streams seeded by (seed, trial), which makes every estimate
+reproducible and safely parallelizable.
 
 This is the only module in the package that touches floating point.
 """
@@ -35,6 +38,7 @@ import numpy as np
 from scipy import integrate
 
 from . import ratmat
+from ._caches import memo
 from .errors import ConfigError
 from .model import ModelLetter, ModelParams
 
@@ -116,9 +120,10 @@ def _parallel(fn, count: int, threads: int) -> list:
 def sample_free_poisson(config: SimulationConfig, *, threads: int = 1) -> np.ndarray:
     """Eigenvalue samples of the Wishart generator, shape (trials, N).
 
-    Rows are ascending.  The N - M structural zero eigenvalues are exact:
-    the spectrum is computed from the singular values of X, which also
-    supplies the zero block without rounding noise.
+    Rows are ascending.  The nonzero part is the M eigenvalues of the
+    M-by-M Gram X^T X, scaled by jump/N; A = (jump/N) X X^T has rank M, so
+    its other N - M eigenvalues are structural zeros, written as exact
+    zeros rather than computed.
     """
     N = config.N
     M = config.gaussian_columns
@@ -126,8 +131,9 @@ def sample_free_poisson(config: SimulationConfig, *, threads: int = 1) -> np.nda
 
     def one(trial: int) -> np.ndarray:
         X = _rng(config, trial).standard_normal((N, M))
-        sv = np.linalg.svd(X, compute_uv=False)
-        return np.concatenate([np.zeros(N - M), scale * sv[::-1] ** 2])
+        # X.T @ X runs as one syrk; eigvalsh returns ascending eigenvalues
+        gram_spectrum = np.linalg.eigvalsh(X.T @ X)
+        return np.concatenate([np.zeros(N - M), scale * gram_spectrum])
 
     return np.stack(_parallel(one, config.trials, threads))
 
@@ -175,6 +181,24 @@ def outside_support_fraction(eigenvalues: np.ndarray, config: SimulationConfig,
 
 
 def _word_plan(word: Sequence[ModelLetter], n: int):
+    """Validate a word and return its compiled plan (see :func:`_compile_plan`).
+
+    Validation runs on every call, so bad input raises ``ConfigError``
+    before it reaches the memo; the compiled plans are memoised per
+    (word, n).
+    """
+    word = tuple(word)
+    for letter in word:
+        if not isinstance(letter, ModelLetter):
+            raise ConfigError(f"expected ModelLetter, got {letter!r}")
+        if not letter.is_z and len(letter.matrix) != n:
+            raise ConfigError(
+                f"matrix letter of size {len(letter.matrix)} in an n={n} simulation")
+    return _compile_plan(word, n)
+
+
+@memo
+def _compile_plan(word: tuple[ModelLetter, ...], n: int):
     """Compile a word into its exact value or the factors c_1, ..., c_k.
 
     Matrix-only words evaluate exactly to a float.  A word containing the
@@ -184,13 +208,6 @@ def _word_plan(word: Sequence[ModelLetter], n: int):
     when there are none.  The factors come back as nested float tuples, so
     equal plans hash alike.
     """
-    word = tuple(word)
-    for letter in word:
-        if not isinstance(letter, ModelLetter):
-            raise ConfigError(f"expected ModelLetter, got {letter!r}")
-        if not letter.is_z and len(letter.matrix) != n:
-            raise ConfigError(
-                f"matrix letter of size {len(letter.matrix)} in an n={n} simulation")
     if not any(l.is_z for l in word):
         if not word:
             return 1.0

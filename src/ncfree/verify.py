@@ -456,8 +456,11 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
     about that rate; the second term allows for the O(1/N) bias of a
     finite-N Wishart word trace.  The mean eigenvalue passes when it lies
     within t * SE of 1, with t the quantile at the two-sided rate
-    MC_FAMILY_RATE on the same degrees of freedom.
+    MC_FAMILY_RATE on the same degrees of freedom.  At N=300 the spectra
+    must match the squared singular values of X, the independent oracle of
+    the Gram route, to 1e-12 of the largest eigenvalue.
     """
+    import numpy as np
     from scipy import stats
 
     t0 = time.perf_counter()
@@ -486,6 +489,15 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
     spill = rmt.outside_support_fraction(eigs, config)
     if spill > 0.01:
         problems.append(f"{spill:.3%} of bulk eigenvalues outside the support")
+    oracle = rmt.SimulationConfig(n=2, N=300, trials=2, seed=VERIFY_SEED)
+    M = oracle.gaussian_columns
+    for trial, row in enumerate(rmt.sample_free_poisson(oracle)):
+        X = rmt._rng(oracle, trial).standard_normal((oracle.N, M))
+        sv = np.linalg.svd(X, compute_uv=False)
+        ref = np.concatenate([np.zeros(oracle.N - M),
+                              oracle.jump / oracle.N * sv[::-1] ** 2])
+        if np.max(np.abs(row - ref)) > 1e-12 * ref[-1]:
+            problems.append(f"trial {trial} spectrum differs from the SVD of X")
 
     e11 = matrix_letter(ratmat.matrix_unit(2, 1, 1))
     x = matrix_letter(ratmat.mat_add(ratmat.matrix_unit(2, 1, 2),
@@ -519,7 +531,7 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
 
     rerun = rmt.SimulationConfig(n=config.n, N=config.N, trials=2,
                                  seed=config.seed)
-    again = rmt.sample_free_poisson(rerun)
+    again = rmt.sample_free_poisson(rerun, threads=2)
     if not (again == eigs[:2]).all():
         problems.append("eigenvalue samples are not bit-reproducible")
     small = words[: len(alphabet) * 2]

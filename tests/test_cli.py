@@ -28,6 +28,7 @@ def expect_usage_error(capsys, *argv):
     assert code == 2
     assert out == ""
     assert "error:" in err
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +51,16 @@ def test_nc_enum_cap_is_a_usage_error(capsys):
         cli.main(["nc", "enum", "--q", "3", "--cap", "40"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("nc", "enum", "--q", "30"),
+    ("model", "z-moment", "--n", "2", "--m", "17"),
+])
+def test_cap_errors_point_at_no_cli_override(capsys, argv):
+    # no subcommand takes a cap, so the message must not suggest passing one
+    err = expect_usage_error(capsys, *argv)
+    assert "cap=" not in err
 
 
 def test_nc_mobius(capsys):

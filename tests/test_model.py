@@ -77,6 +77,12 @@ def test_letter_validation():
         ModelLetter("w")
     with pytest.raises(ConfigError):
         matrix_letter([[1, 2]])
+    with pytest.raises(ConfigError):
+        ModelLetter("matrix", [[1, 2]])
+    # list rows are normalised, so the letter hashes as memo keys need
+    direct = ModelLetter("matrix", [[1, 0], [0, 0]])
+    assert direct == E11
+    assert hash(direct) == hash(E11)
 
 
 def test_word_validation():

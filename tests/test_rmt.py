@@ -4,7 +4,8 @@ The heaviest correctness check here rebuilds each trial's Gaussian block X
 and evaluates words by explicit embedding, multiplying the N-by-N Wishart
 matrix and the letters b kron I, then compares against the optimized path
 that cycles each word into Z c_1 ... Z c_k and evaluates it through the
-Gram blocks of X.
+Gram blocks of X.  The spectra, taken from the eigenvalues of the Gram
+X^T X, are checked against the squared singular values of X.
 """
 import itertools
 
@@ -12,12 +13,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ncfree import ratmat
+from ncfree import clear_caches, ratmat
 from ncfree.errors import ConfigError
 from ncfree.model import Z, matrix_letter
 from ncfree.rmt import (
     FreePairSampler,
     SimulationConfig,
+    _compile_plan,
     _rng,
     atom_mass_estimate,
     mp_continuous_mass,
@@ -79,6 +81,19 @@ def test_eigenvalue_samples_are_deterministic_and_stream_based():
     assert np.array_equal(short, a[:2])
     threaded = sample_free_poisson(cfg, threads=3)
     assert np.array_equal(threaded, a)
+
+
+@pytest.mark.parametrize("n, N", [(2, 400), (3, 399)])
+def test_spectrum_matches_the_svd_of_X(n, N):
+    # the squared singular values of X are the independent oracle for the
+    # eigenvalues of the Gram X^T X
+    cfg = SimulationConfig(n=n, N=N, trials=2, seed=13)
+    M = cfg.gaussian_columns
+    for trial, row in enumerate(sample_free_poisson(cfg)):
+        X = _rng(cfg, trial).standard_normal((N, M))
+        sv = np.linalg.svd(X, compute_uv=False)
+        expected = np.concatenate([np.zeros(N - M), cfg.jump / N * sv[::-1] ** 2])
+        assert np.max(np.abs(row - expected)) <= 1e-12 * expected[-1]
 
 
 def test_support_containment_at_large_N():
@@ -229,6 +244,25 @@ def test_word_validation():
         sampler.estimate((Z, matrix_letter(ratmat.identity(3))))
     with pytest.raises(ConfigError):
         sampler.estimate(("Z",))
+    # validation runs before the plan memo, so an unhashable letter is a
+    # ConfigError too, not a TypeError from hashing
+    with pytest.raises(ConfigError):
+        sampler.estimate_words([[Z, "x"]])
+    with pytest.raises(ConfigError):
+        sampler.estimate_words([[Z, ["x"]]])
+
+
+def test_compiled_plans_are_memoised_and_flushed():
+    cfg = SimulationConfig(n=2, N=120, trials=2, seed=31)
+    words = [(Z, E11, Z, SKEW), (SKEW, Z, Z), (Z,), (E11, SYM, E11)]
+    clear_caches()
+    first = FreePairSampler(cfg).estimate_words(words)
+    hits = _compile_plan.cache_info().hits
+    again = FreePairSampler(cfg).estimate_words(words)
+    assert again == first
+    assert _compile_plan.cache_info().hits > hits
+    clear_caches()
+    assert _compile_plan.cache_info().currsize == 0
 
 
 def test_error_shrinks_along_a_size_ladder():
