@@ -4,8 +4,9 @@ Carlo random-matrix cross-checks.
 
 The exact layers (everything except :mod:`ncfree.rmt` and the Monte Carlo
 acceptance check) work over ``int`` and ``fractions.Fraction`` only.
-:mod:`ncfree.rmt` and :mod:`ncfree.verify` import numpy and scipy lazily via
-their own modules and are not pulled in by ``import ncfree``.
+``import ncfree`` loads neither numpy nor scipy, and neither does
+:mod:`ncfree.verify` until its Monte Carlo check runs.  :mod:`ncfree.rmt`
+imports numpy, and scipy only inside the bulk-mass integral.
 """
 from ._caches import clear_all as clear_caches
 from .errors import (

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__, factors, freeprob, model, ncpart, ratmat
-from .errors import NcfreeError, OutputError, WordSyntaxError
+from .errors import ConfigError, NcfreeError, OutputError, WordSyntaxError
 from .model import ModelParams
 
 EXACT = "exact"
@@ -421,6 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         doc, code = args.handler(args)
     except NcfreeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,9 @@ the nonzero eigenvalues of X X^T.  Per-trial randomness comes from
 independent streams seeded by (seed, trial), which makes every estimate
 reproducible and safely parallelizable.
 
-This is the only module in the package that touches floating point.
+This is the only module in the package that touches floating point.  numpy
+loads with it; scipy is needed only by :func:`mp_continuous_mass`, which
+imports it on its first call.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import ratmat
 from ._caches import memo
@@ -68,6 +69,9 @@ class SimulationConfig:
             raise ConfigError(f"N={self.N} must be divisible by n={self.n}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def rate(self) -> Fraction:
@@ -161,6 +165,8 @@ def mp_density(x: float, rate, jump) -> float:
 
 def mp_continuous_mass(rate, jump) -> float:
     """Numerically integrated bulk mass; the atom then carries 1 minus this."""
+    from scipy import integrate
+
     a, b = mp_support(rate, jump)
     mass, _ = integrate.quad(mp_density, a, b, args=(rate, jump), limit=200)
     return mass

@@ -4,7 +4,8 @@ Each check returns a :class:`CheckResult` and never raises on a mere value
 mismatch; mismatches land in the result detail so a failing run still reports
 every criterion.  ``quick`` trims ranges to seconds for smoke runs; the full
 depth is what the acceptance tests execute.  All checks except the Monte
-Carlo one are exact rational computations.
+Carlo one are exact rational computations; only the Monte Carlo check loads
+:mod:`ncfree.rmt`, numpy and scipy, when it runs.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import factors, freeprob, model, ncpart, ratmat, rmt
+from . import factors, freeprob, model, ncpart, ratmat
 from .model import ModelParams, Z, matrix_letter
 
 VERIFY_SEED = 20260824
@@ -462,6 +463,8 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
     """
     import numpy as np
     from scipy import stats
+
+    from . import rmt
 
     t0 = time.perf_counter()
     if quick:

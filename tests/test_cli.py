@@ -253,9 +253,26 @@ def test_rmt_estimate(capsys):
                        "--trials", "3", "--word", "Z")
 
 
+RMT_SIZE = ("--n", "2", "--N", "120", "--trials", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("rmt", "estimate", *RMT_SIZE, "--seed", "-1", "--word", "Z"),
+    ("rmt", "sample", *RMT_SIZE, "--seed", "-5"),
+    ("rmt", "estimate", *RMT_SIZE, "--threads", "0", "--word", "Z"),
+    ("rmt", "sample", *RMT_SIZE, "--threads", "-3"),
+    ("verify", "all", "--quick", "--threads", "0"),
+])
+def test_negative_seeds_and_threads_are_usage_errors(capsys, argv):
+    expect_usage_error(capsys, *argv)
+
+
 def test_threads_default_env(monkeypatch):
     monkeypatch.setenv("NCFREE_THREADS", "3")
     assert cli._default_threads() == 3
+    # the environment default clamps where the --threads option refuses
+    monkeypatch.setenv("NCFREE_THREADS", "0")
+    assert cli._default_threads() == 1
     monkeypatch.setenv("NCFREE_THREADS", "junk")
     assert cli._default_threads() == 1
     monkeypatch.delenv("NCFREE_THREADS")

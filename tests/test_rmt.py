@@ -8,6 +8,8 @@ Gram blocks of X.  The spectra, taken from the eigenvalues of the Gram
 X^T X, are checked against the squared singular values of X.
 """
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +57,43 @@ def test_config_validation():
         SimulationConfig(n=3, N=200)  # not divisible
     with pytest.raises(ConfigError):
         SimulationConfig(n=2, N=200, trials=0)
+    # numpy's generator refuses negative seeds; refuse them before it does
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(ConfigError):
+            SimulationConfig(n=2, N=200, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+
+def _loaded_after(code: str, env: dict) -> tuple[set, str]:
+    """Top-level modules loaded in a fresh interpreter after code, and its output."""
+    script = code + "\nimport sys\nprint(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    *printed, modules = out.splitlines()
+    return {m.split(".")[0] for m in modules.split()}, "\n".join(printed)
+
+
+@pytest.mark.parametrize("code, absent", [
+    ("import ncfree.rmt", {"scipy"}),
+    ("import ncfree, ncfree.cli, ncfree.verify", {"numpy", "scipy"}),
+])
+def test_imports_load_only_what_runs(package_env, code, absent):
+    loaded, _ = _loaded_after(code, package_env)
+    assert "ncfree" in loaded
+    assert not loaded & absent
+
+
+def test_bulk_mass_loads_scipy_on_first_call(package_env):
+    loaded, printed = _loaded_after(
+        "from fractions import Fraction\n"
+        "import ncfree.rmt\n"
+        "print(repr(ncfree.rmt.mp_continuous_mass(Fraction(1, 2), 2)))",
+        package_env)
+    assert "scipy" in loaded
+    assert float(printed) == pytest.approx(0.5, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
