@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__, factors, freeprob, model, ncpart, ratmat
-from .errors import ConfigError, NcfreeError, OutputError, WordSyntaxError
+from .errors import (ArityError, ConfigError, GroundMismatchError, NcfreeError,
+                     OutputError, WordSyntaxError)
 from .model import ModelParams
 
 EXACT = "exact"
@@ -91,6 +92,8 @@ def _parse_rational_list(text: str) -> list[Fraction]:
 
 
 def _cmd_nc_enum(args) -> tuple[dict, int]:
+    if args.q < 0:
+        raise ArityError(f"--q must be >= 0, got {args.q}")
     parts = ncpart.enumerate_nc(range(1, args.q + 1))
     result = {"count": len(parts), "partitions": [str(p) for p in parts]}
     return _doc("nc enum", {"q": args.q}, result, EXACT), 0
@@ -106,6 +109,8 @@ def _cmd_nc_mobius(args) -> tuple[dict, int]:
 
 def _cmd_nc_pitilde(args) -> tuple[dict, int]:
     D = _parse_int_list(args.d)
+    if not all(1 <= i <= args.q for i in D):
+        raise GroundMismatchError(f"marked positions {D} must lie in 1..{args.q}")
     E = tuple(i for i in range(1, args.q + 1) if i not in D)
     pi = ncpart.NonCrossingPartition.from_string(args.pi, ground=D)
     comp = ncpart.pi_tilde(D, E, pi)

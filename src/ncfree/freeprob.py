@@ -23,7 +23,8 @@ from .errors import ArityError, ConfigError, SizeLimitError, UnsupportedProductE
 ExactScalar = ncpart.ExactScalar
 MomentSource = Callable[[tuple], ExactScalar]
 
-DEFAULT_WORD_CAP = 10
+# the longest word the 2^q centering recursion accepts
+WORD_LIMIT = 10
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +81,9 @@ class MatrixTraceOracle(AlgebraOracle):
 class FreePoissonOracle(AlgebraOracle):
     """Powers of a single free Poisson element; payloads are exponents."""
 
-    def __init__(self, rate, jump, *, cap: int = ncpart.DEFAULT_ENUMERATION_CAP):
+    def __init__(self, rate, jump):
         self.rate = Fraction(rate)
         self.jump = Fraction(jump)
-        self.cap = cap
 
     @property
     def unit(self):
@@ -93,7 +93,7 @@ class FreePoissonOracle(AlgebraOracle):
         total = sum(word)
         if any(k < 0 for k in word):
             raise ConfigError(f"negative exponent in {word}")
-        return free_poisson_moment(self.rate, self.jump, total, cap=self.cap)
+        return free_poisson_moment(self.rate, self.jump, total)
 
     def multiply(self, a, b):
         return a + b
@@ -117,8 +117,7 @@ def free_poisson_cumulant(rate, jump, q: int) -> Fraction:
     return Fraction(rate) * Fraction(jump) ** q
 
 
-def free_poisson_moment(rate, jump, m: int, *,
-                        cap: int = ncpart.DEFAULT_ENUMERATION_CAP) -> Fraction:
+def free_poisson_moment(rate, jump, m: int) -> Fraction:
     """m-th moment of the free Poisson law, summed over NC(m).
 
     Each partition contributes rate**blocks times jump**m.  Computed by
@@ -128,7 +127,7 @@ def free_poisson_moment(rate, jump, m: int, *,
         raise ArityError(f"moment order must be >= 0, got {m}")
     if m == 0:
         return Fraction(1)
-    ncpart._check_cap(m, cap)
+    ncpart._check_cap(m)
     rate = Fraction(rate)
     jump = Fraction(jump)
     total = Fraction(0)
@@ -147,20 +146,20 @@ class FreeProduct:
     ``moment`` evaluates the trace of a mixed word by the centering recursion:
     merge adjacent same-algebra letters, split every letter into its centered
     part plus a scalar, expand multilinearly, and use that an alternating
-    product of centered letters has trace zero.  Subword values are memoized
-    on the instance, so one FreeProduct should be reused across many words.
+    product of centered letters has trace zero.  The cost doubles with each
+    letter, so words longer than ``WORD_LIMIT`` are refused.  Subword values
+    are memoized on the instance, so one FreeProduct should be reused across
+    many words.
     """
 
-    def __init__(self, oracles: Mapping[int, AlgebraOracle], *,
-                 cap: int = DEFAULT_WORD_CAP):
+    def __init__(self, oracles: Mapping[int, AlgebraOracle]):
         self.oracles = dict(oracles)
-        self.cap = cap
         self._memo: dict = {}
 
     def moment(self, word: Sequence[TracialLetter]) -> Fraction:
-        if len(word) > self.cap:
+        if len(word) > WORD_LIMIT:
             raise SizeLimitError(
-                f"word of length {len(word)} above the cap of {self.cap}")
+                f"word of length {len(word)} above the word limit of {WORD_LIMIT}")
         for letter in word:
             if letter.algebra not in self.oracles:
                 raise ConfigError(f"no oracle for algebra {letter.algebra!r}")
@@ -225,8 +224,7 @@ class FreeProduct:
 # mixed cumulants and the freeness certificate
 
 
-def mixed_cumulant(word: Sequence, moment_source: MomentSource, *,
-                   cap: int = ncpart.DEFAULT_ENUMERATION_CAP) -> ExactScalar:
+def mixed_cumulant(word: Sequence, moment_source: MomentSource) -> ExactScalar:
     """Free cumulant of a letter tuple given a joint moment functional.
 
     ``moment_source`` receives subtuples of ``word`` in increasing position
@@ -234,7 +232,7 @@ def mixed_cumulant(word: Sequence, moment_source: MomentSource, *,
     """
     if len(word) == 0:
         raise ArityError("cumulant of an empty tuple is undefined")
-    return ncpart.moments_to_cumulants(moment_source, tuple(word), cap=cap)
+    return ncpart.moments_to_cumulants(moment_source, tuple(word))
 
 
 @dataclass(frozen=True)
@@ -242,7 +240,7 @@ class FreenessReport:
     """Outcome of a freeness sweep.
 
     ``certified`` is True only when every mixed cumulant in the requested
-    range vanished and the range was not truncated by the word cap.
+    range vanished and the range was not truncated at ``WORD_LIMIT``.
     Violations are (word, value) pairs.
     """
     certified: bool
@@ -253,23 +251,22 @@ class FreenessReport:
 
 
 def freeness_check(generator_sets: Sequence[Sequence], max_q: int,
-                   moment_source: MomentSource, *,
-                   word_cap: int = DEFAULT_WORD_CAP) -> FreenessReport:
+                   moment_source: MomentSource) -> FreenessReport:
     """Certify vanishing of mixed cumulants across the generator sets.
 
     Sweeps every tuple of length 2..max_q over the union of the sets that
     draws letters from at least two different sets, and evaluates its free
     cumulant against ``moment_source``.  Letters should be distinct across
-    sets.  If max_q exceeds the word cap the sweep stops at the cap and the
-    report is marked truncated instead of raising.  A max_q below 2 would
-    check no tuple at all and raises :class:`ArityError`.
+    sets.  If max_q exceeds ``WORD_LIMIT`` the sweep stops at that length and
+    the report is marked truncated instead of raising.  A max_q below 2
+    would check no tuple at all and raises :class:`ArityError`.
     """
     if max_q < 2:
         raise ArityError(f"a freeness sweep needs max_q >= 2, got {max_q}")
     tagged = [(tag, letter) for tag, group in enumerate(generator_sets)
               for letter in group]
-    limit = min(max_q, word_cap)
-    truncated = max_q > word_cap
+    limit = min(max_q, WORD_LIMIT)
+    truncated = max_q > WORD_LIMIT
     violations = []
     checked = 0
     for q in range(2, limit + 1):

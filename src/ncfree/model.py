@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import ncpart, ratmat
+from . import freeprob, ncpart, ratmat
 from ._caches import memo
-from .errors import ArityError, ConfigError, GroundMismatchError
+from .errors import ArityError, ConfigError, GroundMismatchError, SizeLimitError
 from .freeprob import (
     FreeProduct,
     FreePoissonOracle,
@@ -108,14 +108,13 @@ def z_cumulant(q: int, params: ModelParams) -> Fraction:
     return Fraction(params.n ** (q - 1))
 
 
-def z_moment(m: int, params: ModelParams, *,
-             cap: int = ncpart.DEFAULT_ENUMERATION_CAP) -> Fraction:
+def z_moment(m: int, params: ModelParams) -> Fraction:
     """m-th moment of the generator, summed over NC(m) by enumeration."""
     if m < 0:
         raise ArityError(f"moment order must be >= 0, got {m}")
     if m == 0:
         return Fraction(1)
-    ncpart._check_cap(m, cap)
+    ncpart._check_cap(m)
     n = params.n
     total = 0
     for blocks in ncpart._iter_partitions(m):
@@ -142,25 +141,25 @@ def _cumulant_weight(n: int, d_size: int, block_count: int) -> int:
     return n ** (d_size - block_count)
 
 
-def tau_word(word: Sequence[ModelLetter], params: ModelParams, *,
-             cap: int = ncpart.DEFAULT_ENUMERATION_CAP) -> Fraction:
+def tau_word(word: Sequence[ModelLetter], params: ModelParams) -> Fraction:
     """Exact trace of a word in the generator and matrix letters.
 
     Sums, over non-crossing partitions pi of the generator positions, the
     cumulant weight n**(|D| - |pi|) times the product of normalized traces of
     the matrix letters grouped by the complement partition of the matrix
     positions.  Adjacent matrix letters are not merged beforehand; the
-    grouping handles them.  The empty word has trace 1.
+    grouping handles them.  The empty word has trace 1.  Words with more
+    than ``ncpart.ENUMERATION_LIMIT`` generator letters are refused.
     """
     word = tuple(word)
     D, _ = _split_word(word, params)
-    ncpart._check_cap(len(D), cap)
+    ncpart._check_cap(len(D))
     return _tau(word, params.n)
 
 
 @memo
 def _tau(word: tuple, n: int) -> Fraction:
-    # the partition sum of tau_word on a validated word below the cap
+    # the partition sum of tau_word on a validated word within the limit
     D = tuple(i for i, letter in enumerate(word, start=1) if letter.is_z)
     E = tuple(i for i, letter in enumerate(word, start=1) if not letter.is_z)
     if not D:
@@ -289,11 +288,10 @@ _MATRIX_ALGEBRA = 1
 
 
 @memo
-def _free_product(n: int, cap: int) -> FreeProduct:
+def _free_product(n: int) -> FreeProduct:
     return FreeProduct(
         {_Z_ALGEBRA: FreePoissonOracle(Fraction(1, n), n),
-         _MATRIX_ALGEBRA: MatrixTraceOracle(n)},
-        cap=cap)
+         _MATRIX_ALGEBRA: MatrixTraceOracle(n)})
 
 
 def as_free_product_word(word: Sequence[ModelLetter]) -> tuple[TracialLetter, ...]:
@@ -308,12 +306,15 @@ def as_free_product_word(word: Sequence[ModelLetter]) -> tuple[TracialLetter, ..
 
 
 def centering_moment(word: Sequence[ModelLetter], params: ModelParams, *,
-                     cap: int = 10) -> Fraction:
+                     cap: int = freeprob.WORD_LIMIT) -> Fraction:
     """The word trace computed by the centering algorithm, not factorization.
 
     Independent route used to cross-check :func:`tau_word`; the generator is
     realized as a free Poisson element with rate 1/n and jump n, free from
-    the matrix algebra.
+    the matrix algebra.  Words longer than ``cap`` are refused; a cap above
+    ``freeprob.WORD_LIMIT`` cannot lift that limit.
     """
     _split_word(word, params)
-    return _free_product(params.n, cap).moment(as_free_product_word(word))
+    if len(word) > cap:
+        raise SizeLimitError(f"word of length {len(word)} above the cap of {cap}")
+    return _free_product(params.n).moment(as_free_product_word(word))

@@ -40,9 +40,9 @@ from .errors import (
 
 ExactScalar = Union[int, Fraction]
 PartitionFunctional = Callable[[tuple], ExactScalar]
-Ground = "tuple[int, ...]"
 
-DEFAULT_ENUMERATION_CAP = 16
+# the largest ground set any enumeration over NC(k) accepts
+ENUMERATION_LIMIT = 16
 
 # partitions of [k] are cached up to this size; larger ones stream
 _CACHE_LIMIT = 12
@@ -70,11 +70,11 @@ def as_ground(elements: Iterable[int]) -> tuple[int, ...]:
     return g
 
 
-def _check_cap(k: int, cap: int) -> None:
-    if k > cap:
+def _check_cap(k: int) -> None:
+    if k > ENUMERATION_LIMIT:
         raise SizeLimitError(
             f"ground of size {k} has {catalan(k)} non-crossing partitions, "
-            f"above the cap of {cap}; library calls take a cap keyword to raise it")
+            f"above the enumeration limit of {ENUMERATION_LIMIT}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +162,6 @@ class NonCrossingPartition:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def block_containing(self, x: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise GroundMismatchError(f"{x} is not in ground {self.ground}")
 
     def position_blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks rewritten as 0-based positions within the ground tuple."""
@@ -317,20 +311,19 @@ def _relabel(blocks: tuple[tuple[int, ...], ...],
     return tuple(tuple(ground[i] for i in b) for b in blocks)
 
 
-def enumerate_nc(ground: Iterable[int], *,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> list[NonCrossingPartition]:
+def enumerate_nc(ground: Iterable[int]) -> list[NonCrossingPartition]:
     """All non-crossing partitions of the ground set, in a fixed order.
 
     The order is deterministic: it follows the choice of the block containing
     the smallest element (by size, then lexicographically) and recurses into
-    the gaps.  Refuses ground sets larger than ``cap`` (default 16) because
-    the count grows like the Catalan numbers.
+    the gaps.  Refuses ground sets larger than ``ENUMERATION_LIMIT`` (16)
+    because the count grows like the Catalan numbers.
 
     >>> len(enumerate_nc((1, 2, 3)))
     5
     """
     g = as_ground(ground)
-    _check_cap(len(g), cap)
+    _check_cap(len(g))
     return [NonCrossingPartition._raw(g, _relabel(b, g)) for b in _iter_partitions(len(g))]
 
 
@@ -388,8 +381,7 @@ def pi_tilde(D: Iterable[int], E: Iterable[int],
 
 
 def pi_tilde_bruteforce(D: Iterable[int], E: Iterable[int],
-                        pi: NonCrossingPartition, *,
-                        cap: int = DEFAULT_ENUMERATION_CAP) -> NonCrossingPartition:
+                        pi: NonCrossingPartition) -> NonCrossingPartition:
     """Oracle route for :func:`pi_tilde`: exhaustive maximal-element search.
 
     Scans all of NC(E), keeps the candidates whose union with pi stays
@@ -398,7 +390,7 @@ def pi_tilde_bruteforce(D: Iterable[int], E: Iterable[int],
     winner, which would contradict the uniqueness of the maximum.
     """
     d, e = _split_validate(D, E, pi)
-    _check_cap(len(e), cap)
+    _check_cap(len(e))
     valid = []
     for blocks in _iter_partitions(len(e)):
         rb = _relabel(blocks, e)
@@ -489,10 +481,10 @@ def mobius(pi: NonCrossingPartition, sigma: NonCrossingPartition) -> int:
     return _mobius_positions(pi.blocks, sigma.blocks)
 
 
-def iter_partitions_with_mobius(q: int, *, cap: int = DEFAULT_ENUMERATION_CAP
-                                ) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
+def iter_partitions_with_mobius(
+        q: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
     """Yield (position blocks, mu(partition, whole)) over NC(q)."""
-    _check_cap(q, cap)
+    _check_cap(q)
     if q <= _CACHE_LIMIT:
         return iter(_cached_with_mobius(q))
     return ((blocks, _mu_to_top(blocks, q)) for blocks in _iter_partitions(q))
@@ -522,8 +514,7 @@ def multiplicative_extension(phi: PartitionFunctional, pi: NonCrossingPartition,
     return total
 
 
-def moments_to_cumulants(phi: PartitionFunctional, letters: Sequence, *,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> ExactScalar:
+def moments_to_cumulants(phi: PartitionFunctional, letters: Sequence) -> ExactScalar:
     """Cumulant of the letter tuple from the moment functional phi.
 
     Mobius inversion against the top element: sum over all non-crossing
@@ -533,7 +524,7 @@ def moments_to_cumulants(phi: PartitionFunctional, letters: Sequence, *,
     if q == 0:
         raise ArityError("cumulant of an empty tuple is undefined")
     total: ExactScalar = 0
-    for blocks, mu in iter_partitions_with_mobius(q, cap=cap):
+    for blocks, mu in iter_partitions_with_mobius(q):
         term: ExactScalar = mu
         for b in blocks:
             term *= phi(tuple(letters[i] for i in b))
@@ -541,13 +532,12 @@ def moments_to_cumulants(phi: PartitionFunctional, letters: Sequence, *,
     return total
 
 
-def cumulants_to_moments(kappa: PartitionFunctional, letters: Sequence, *,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> ExactScalar:
+def cumulants_to_moments(kappa: PartitionFunctional, letters: Sequence) -> ExactScalar:
     """Moment of the letter tuple from the cumulant functional kappa."""
     q = len(letters)
     if q == 0:
         raise ArityError("moment of an empty tuple is undefined")
-    _check_cap(q, cap)
+    _check_cap(q)
     total: ExactScalar = 0
     for blocks in _iter_partitions(q):
         term: ExactScalar = 1
@@ -558,8 +548,7 @@ def cumulants_to_moments(kappa: PartitionFunctional, letters: Sequence, *,
 
 
 def partitioned_forms_check(phi: PartitionFunctional, kappa: PartitionFunctional,
-                            tau: NonCrossingPartition, letters: Sequence, *,
-                            cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+                            tau: NonCrossingPartition, letters: Sequence) -> bool:
     """Check the two interval-restricted transform identities at tau.
 
     Verifies that the extension of phi at tau equals the sum of extensions of
@@ -570,7 +559,7 @@ def partitioned_forms_check(phi: PartitionFunctional, kappa: PartitionFunctional
     q = len(tau.ground)
     if len(letters) != q:
         raise ArityError(f"{len(letters)} letters for a partition of {q} elements")
-    _check_cap(q, cap)
+    _check_cap(q)
     tau_pos = tau.position_blocks()
     owner = {x: i for i, b in enumerate(tau_pos) for x in b}
     phi_tau = multiplicative_extension(phi, tau, letters)

@@ -12,8 +12,6 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigError, WordSyntaxError
 
-Matrix = "tuple[tuple[Fraction, ...], ...]"
-
 
 def matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     """Build a square matrix, coercing entries to Fraction."""
@@ -23,10 +21,6 @@ def matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
         raise ConfigError(f"expected a square matrix, got rows of sizes "
                           f"{[len(r) for r in out]}")
     return out
-
-
-def dim(m) -> int:
-    return len(m)
 
 
 def identity(n: int):
@@ -61,11 +55,6 @@ def mat_add(a, b):
     if len(a) != len(b):
         raise ConfigError(f"size mismatch: {len(a)} vs {len(b)}")
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a):
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def trace(m) -> Fraction:

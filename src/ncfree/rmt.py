@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,6 +50,10 @@ __all__ = [
     "outside_support_fraction",
 ]
 
+# how far past the Marchenko-Pastur bulk edges an eigenvalue may sit before
+# it counts as outside the support
+SUPPORT_SLACK = 0.3
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -58,7 +62,6 @@ class SimulationConfig:
     N: int
     trials: int = 20
     seed: int = 0
-    epsilon_atom: Optional[float] = None
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
@@ -67,8 +70,9 @@ class SimulationConfig:
             raise ConfigError(f"N must be an integer >= 100, got {self.N!r}")
         if self.N % self.n:
             raise ConfigError(f"N={self.N} must be divisible by n={self.n}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if (not isinstance(self.trials, int) or isinstance(self.trials, bool)
+                or self.trials < 1):
+            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
@@ -88,8 +92,6 @@ class SimulationConfig:
 
     @property
     def atom_threshold(self) -> float:
-        if self.epsilon_atom is not None:
-            return self.epsilon_atom
         return 1e-6 * self.n
 
     def params(self) -> ModelParams:
@@ -172,14 +174,14 @@ def mp_continuous_mass(rate, jump) -> float:
     return mass
 
 
-def outside_support_fraction(eigenvalues: np.ndarray, config: SimulationConfig,
-                             slack: float = 0.3) -> float:
+def outside_support_fraction(eigenvalues: np.ndarray,
+                             config: SimulationConfig) -> float:
     """Fraction of nonzero-part eigenvalues outside the widened bulk support."""
     a, b = mp_support(config.rate, config.jump)
     nz = eigenvalues[eigenvalues >= config.atom_threshold]
     if nz.size == 0:
         return 0.0
-    return float(np.mean((nz < a - slack) | (nz > b + slack)))
+    return float(np.mean((nz < a - SUPPORT_SLACK) | (nz > b + SUPPORT_SLACK)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +289,9 @@ class FreePairSampler:
         return values
 
     def estimate_words(self, words: Sequence[Sequence[ModelLetter]], *,
-                       trials: Optional[int] = None,
                        threads: int = 1) -> list[MomentEstimate]:
         cfg = self.config
-        T = cfg.trials if trials is None else trials
-        if T < 1:
-            raise ConfigError(f"trials must be >= 1, got {T}")
+        T = cfg.trials
         plans = [_word_plan(w, cfg.n) for w in words]
         mixed = list(dict.fromkeys(p for p in plans if isinstance(p, tuple)))
         column = {p: j for j, p in enumerate(mixed)}
@@ -313,5 +312,5 @@ class FreePairSampler:
         return out
 
     def estimate(self, word: Sequence[ModelLetter], *,
-                 trials: Optional[int] = None, threads: int = 1) -> MomentEstimate:
-        return self.estimate_words([word], trials=trials, threads=threads)[0]
+                 threads: int = 1) -> MomentEstimate:
+        return self.estimate_words([word], threads=threads)[0]

@@ -43,6 +43,12 @@ def test_nc_enum(capsys):
     assert "{1,3}{2}" in doc["result"]["partitions"]
 
 
+def test_nc_enum_rejects_a_negative_size(capsys):
+    # NC of the empty set is {empty partition}, so q = 0 stays valid
+    assert run_json(capsys, "nc", "enum", "--q", "0")["result"]["count"] == 1
+    expect_usage_error(capsys, "nc", "enum", "--q", "-3")
+
+
 def test_nc_enum_cap_is_a_usage_error(capsys):
     expect_usage_error(capsys, "nc", "enum", "--q", "20")
     # the library's default cap guards any size; the CLI offers no override
@@ -85,6 +91,13 @@ def test_nc_pitilde_frozen_instance(capsys):
 def test_nc_pitilde_rejects_crossing(capsys):
     expect_usage_error(capsys, "nc", "pitilde", "--q", "4",
                        "--d", "1,2,3,4", "--pi", "{1,3}{2,4}")
+
+
+@pytest.mark.parametrize("q, d, pi", [("3", "1,2,3,4", "{1,2,3,4}"),
+                                       ("0", "1", "{1}"),
+                                       ("4", "2,5", "{2,5}")])
+def test_nc_pitilde_rejects_marks_outside_q(capsys, q, d, pi):
+    expect_usage_error(capsys, "nc", "pitilde", "--q", q, "--d", d, "--pi", pi)
 
 
 @pytest.mark.parametrize("d", ["2,,5", "2,5,", ",2,5", ""])

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncfree import ratmat
+from ncfree import freeprob, ratmat
 from ncfree.errors import ArityError, ConfigError, SizeLimitError
 from ncfree.freeprob import (
     FreePoissonOracle,
@@ -184,9 +184,6 @@ def test_word_cap_and_config_errors():
     a = TracialLetter(0, 1)
     with pytest.raises(SizeLimitError):
         fp.moment((a,) * 11)
-    tight = FreeProduct({0: FreePoissonOracle(1, 1)}, cap=3)
-    with pytest.raises(SizeLimitError):
-        tight.moment((a,) * 4)
     with pytest.raises(ConfigError):
         fp.moment((TracialLetter(7, 1),))
 
@@ -236,11 +233,12 @@ def test_freeness_check_flags_a_dependent_pair():
     assert ((e11, e22), Fraction(-1, 4)) in report.violations
 
 
-def test_freeness_check_reports_truncation():
+def test_freeness_check_reports_truncation(monkeypatch):
+    monkeypatch.setattr(freeprob, "WORD_LIMIT", 3)
     fp = make_pair()
     a = TracialLetter(0, 1)
     x = TracialLetter(1, ratmat.matrix_unit(2, 1, 1))
-    report = freeness_check([[a], [x]], 12, fp.moment, word_cap=3)
+    report = freeness_check([[a], [x]], 12, fp.moment)
     assert report.truncated
     assert not report.certified
     assert report.max_q == 12

@@ -195,8 +195,6 @@ def test_tau_is_tracial():
 def test_tau_generator_cap():
     with pytest.raises(SizeLimitError):
         tau_word((Z,) * 17, P2)
-    with pytest.raises(SizeLimitError):
-        tau_word((Z,) * 5, P2, cap=4)
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +335,11 @@ def test_centering_route_matches_factorization():
         q = rng.randint(1, 6)
         word = tuple(rng.choice(LETTERS2) for _ in range(q))
         assert centering_moment(word, P2) == tau_word(word, P2)
+
+
+def test_centering_word_cap():
+    with pytest.raises(SizeLimitError):
+        centering_moment((Z,) * 11, P2)
+    with pytest.raises(SizeLimitError):
+        centering_moment((Z, E11, Z), P2, cap=2)
+    assert centering_moment((Z, E11, Z), P2, cap=3) == tau_word((Z, E11, Z), P2)

@@ -48,15 +48,16 @@ def test_config_validation():
     assert good.jump == 2
     assert good.gaussian_columns == 100
     assert good.atom_threshold == pytest.approx(2e-6)
-    assert SimulationConfig(n=2, N=200, epsilon_atom=1e-3).atom_threshold == 1e-3
     with pytest.raises(ConfigError):
         SimulationConfig(n=1, N=200)
     with pytest.raises(ConfigError):
         SimulationConfig(n=2, N=99)
     with pytest.raises(ConfigError):
         SimulationConfig(n=3, N=200)  # not divisible
-    with pytest.raises(ConfigError):
-        SimulationConfig(n=2, N=200, trials=0)
+    # a non-integer trial count would only fail inside the sampler
+    for trials in (0, 2.5, "3", True):
+        with pytest.raises(ConfigError):
+            SimulationConfig(n=2, N=200, trials=trials)
     # numpy's generator refuses negative seeds; refuse them before it does
     for seed in (-1, 1.5, "3"):
         with pytest.raises(ConfigError):
@@ -262,18 +263,16 @@ def test_estimates_are_deterministic_and_dedupe_rotations():
 
 
 def test_estimate_flags_and_trial_overrides():
-    cfg = SimulationConfig(n=2, N=120, trials=4, seed=2)
-    sampler = FreePairSampler(cfg)
-    single = sampler.estimate((Z,), trials=1)
+    single = FreePairSampler(SimulationConfig(n=2, N=120, trials=1, seed=2)
+                             ).estimate((Z,))
     assert single.trials == 1
     assert not single.std_error_ok
     assert single.std_error == 0.0
-    multi = sampler.estimate((Z,))
+    multi = FreePairSampler(SimulationConfig(n=2, N=120, trials=4, seed=2)
+                            ).estimate((Z,))
     assert multi.trials == 4
     assert multi.std_error_ok
     assert multi.std_error > 0
-    with pytest.raises(ConfigError):
-        sampler.estimate((Z,), trials=0)
 
 
 def test_word_validation():
@@ -314,8 +313,8 @@ def test_error_shrinks_along_a_size_ladder():
 
 
 def test_std_error_shrinks_with_more_trials():
-    cfg = SimulationConfig(n=2, N=200, trials=32, seed=41)
-    sampler = FreePairSampler(cfg)
-    wide = sampler.estimate((Z, Z), trials=8)
-    narrow = sampler.estimate((Z, Z), trials=32)
+    wide = FreePairSampler(SimulationConfig(n=2, N=200, trials=8, seed=41)
+                           ).estimate((Z, Z))
+    narrow = FreePairSampler(SimulationConfig(n=2, N=200, trials=32, seed=41)
+                             ).estimate((Z, Z))
     assert narrow.std_error < wide.std_error
