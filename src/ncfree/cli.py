@@ -124,6 +124,8 @@ def _cmd_nc_pitilde(args) -> tuple[dict, int]:
 
 def _cmd_cumulants_from_moments(args) -> tuple[dict, int]:
     moments = _parse_rational_list(args.moments)
+    # refuse an oversized list before the smaller transforms run
+    ncpart._check_cap(len(moments))
     table = [Fraction(1)] + moments
 
     def phi(word: tuple) -> Fraction:
@@ -137,6 +139,8 @@ def _cmd_cumulants_from_moments(args) -> tuple[dict, int]:
 
 def _cmd_cumulants_to_moments(args) -> tuple[dict, int]:
     cumulants = _parse_rational_list(args.cumulants)
+    # refuse an oversized list before the smaller transforms run
+    ncpart._check_cap(len(cumulants))
     table = [Fraction(0)] + cumulants
 
     def kappa(word: tuple) -> Fraction:

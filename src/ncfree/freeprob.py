@@ -121,7 +121,8 @@ def free_poisson_moment(rate, jump, m: int) -> Fraction:
     """m-th moment of the free Poisson law, summed over NC(m).
 
     Each partition contributes rate**blocks times jump**m.  Computed by
-    enumeration; the closed Narayana form is a test, not an ingredient.
+    enumeration, so it stays a route independent of the Narayana closed
+    form that ``model.z_moment`` uses.
     """
     if m < 0:
         raise ArityError(f"moment order must be >= 0, got {m}")

@@ -14,6 +14,7 @@ factorization; keeping both routes in agreement is acceptance-critical.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -109,17 +110,19 @@ def z_cumulant(q: int, params: ModelParams) -> Fraction:
 
 
 def z_moment(m: int, params: ModelParams) -> Fraction:
-    """m-th moment of the generator, summed over NC(m) by enumeration."""
+    """m-th moment of the generator in closed form, sum_k N(m,k) n**(m-k).
+
+    NC(m) has Narayana many, N(m,k) = C(m,k) C(m,k-1) / m, partitions with
+    k blocks, and each weighs n**(m-k).  No size limit applies;
+    ``freeprob.free_poisson_moment`` keeps the enumeration as the oracle.
+    """
     if m < 0:
         raise ArityError(f"moment order must be >= 0, got {m}")
     if m == 0:
         return Fraction(1)
-    ncpart._check_cap(m)
     n = params.n
-    total = 0
-    for blocks in ncpart._iter_partitions(m):
-        total += n ** (m - len(blocks))
-    return Fraction(total)
+    return Fraction(sum(math.comb(m, k) * math.comb(m, k - 1) // m * n ** (m - k)
+                        for k in range(1, m + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +181,10 @@ def _tau(word: tuple, n: int) -> Fraction:
 class PiTermBreakdown:
     """One summand of the word-trace factorization, with loop bookkeeping.
 
-    ``value`` is cumulant_factor times the product of the block traces.  The
-    loop count obeys the power identity
-    n**-1 * n**(loop_count/2) * n**len(pi_tilde) == n**(|D| - |pi|),
-    checked on construction.
+    ``value`` is cumulant_factor times the product of the block traces and
+    is checked against them on construction.  ``loop_count`` is
+    2 * (|D| - |pi| - |pi_tilde| + 1), so only its sign can be wrong, and a
+    negative count is refused.
     """
     n: int
     pi: NonCrossingPartition
@@ -192,14 +195,8 @@ class PiTermBreakdown:
     value: Fraction
 
     def __post_init__(self):
-        if self.loop_count < 0 or self.loop_count % 2:
-            raise ConfigError(f"loop count must be even and >= 0, got {self.loop_count}")
-        d_size = len(self.pi.ground)
-        lhs = -1 + self.loop_count // 2 + len(self.pi_tilde)
-        rhs = d_size - len(self.pi)
-        if lhs != rhs:
-            raise ConfigError(
-                f"loop bookkeeping identity failed: {lhs} != {rhs}")
+        if self.loop_count < 0:
+            raise ConfigError(f"loop count must be >= 0, got {self.loop_count}")
         prod = Fraction(self.cumulant_factor)
         for _, t in self.block_traces:
             prod *= t

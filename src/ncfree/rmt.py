@@ -16,9 +16,12 @@ G_ij = X_i^T X_j, and for a word cut before each generator letter,
     tr_N(Z c_1 Z c_2 ... Z c_k) = (jump/N)^k tr(W(c_1) ... W(c_k)) / N,
     W(c) = X^T (c kron I) X = sum_ij c_ij G_ij,
 
-by cycling X^T to the front of the trace.  A word therefore costs at most
-k - 2 products of M-by-M matrices and one O(M^2) trace, with no N-by-N
-product at all.  Each word's factors c_1, ..., c_k are compiled once per
+by cycling X^T to the front of the trace, with no N-by-N product at all.
+A unit factor c = E_ij is the Gram block G_ij itself, a zero factor makes
+the trace an exact 0, and any other W(c) is summed once per trial.  The
+words of a batch share their head products W(c_1) ... W(c_{k-1}): each
+distinct head is multiplied once per trial, and each word then costs one
+O(M^2) trace.  Each word's factors c_1, ..., c_k are compiled once per
 (word, n) in exact arithmetic and memoised under the package's memo policy.
 The spectrum of A likewise comes from the M-by-M Gram X^T X, which shares
 the nonzero eigenvalues of X X^T.  Per-trial randomness comes from
@@ -240,20 +243,64 @@ def _compile_plan(word: tuple[ModelLetter, ...], n: int):
     return tuple(tuple(tuple(float(x) for x in row) for row in c) for c in factors)
 
 
+def _gram_combination(c, gram: dict, built: dict):
+    """W(c) = sum_ij c_ij G_ij, or None when c is zero.
+
+    A unit factor E_ij is returned as the block G_ij itself (a transposed
+    view when i > j); any other factor is summed into a new array once and
+    kept in ``built`` for the rest of the trial.
+    """
+    if c not in built:
+        terms = [(a, gram[i, j]) for i, row in enumerate(c)
+                 for j, a in enumerate(row) if a]
+        if not terms:
+            w = None
+        elif len(terms) == 1 and terms[0][0] == 1.0:
+            w = terms[0][1]
+        else:
+            (a, g), *rest = terms
+            w = a * g
+            for a, g in rest:
+                w += g if a == 1.0 else a * g
+        built[c] = w
+    return built[c]
+
+
+def _shared_length(a: tuple, b: tuple) -> int:
+    """Length of the longest common prefix of two factor sequences."""
+    k = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        k += 1
+    return k
+
+
 class FreePairSampler:
     """Joint sampler for the Wishart generator and embedded matrix letters.
 
     Build once per configuration and batch words through
-    :meth:`estimate_words`.  A trial draws only X; its Gram blocks and each
-    W(c) are formed once per trial and shared by the words of the batch,
-    and nothing is shared between trials.
+    :meth:`estimate_words`.  A trial draws only X and forms its Gram blocks.
+    The words of the batch share each W(c) and each head product
+    W(c_1) ... W(c_{k-1}) within the trial, and nothing is shared between
+    trials.  A trial holds at most (longest plan - 1) head products at
+    once, plus the summed W(c) of its distinct non-unit factors.  Every
+    product is formed left to right from the same arrays whatever the
+    batch, so a word's estimate does not depend on the words batched with
+    it, on their order or on the thread count.
     """
 
     def __init__(self, config: SimulationConfig):
         self.config = config
 
     def _trial_values(self, trial: int, plans) -> list[float]:
-        """Traces of the mixed plans in one trial."""
+        """Traces of the mixed plans in one trial.
+
+        The plans are visited sorted by head, so those sharing a head
+        prefix are adjacent.  ``heads[d]`` holds W(c_1) ... W(c_{d+1}) of the
+        current head (None once a factor is zero) and is dropped as soon
+        as the next plan no longer shares it.
+        """
         cfg = self.config
         n, N = cfg.n, cfg.N
         X = _rng(cfg, trial).standard_normal((N, cfg.gaussian_columns))
@@ -263,29 +310,29 @@ class FreePairSampler:
             for j in range(i, n):
                 gram[i, j] = rows[i].T @ rows[j]
                 gram[j, i] = gram[i, j].T
-        w_memo: dict = {}
-
-        def W(c) -> np.ndarray:
-            # X^T (c kron I) X; a zero c gives a zero M-by-M matrix
-            if c not in w_memo:
-                acc = np.zeros_like(gram[0, 0])
-                for (i, j), g in gram.items():
-                    if c[i][j]:
-                        acc += c[i][j] * g
-                w_memo[c] = acc
-            return w_memo[c]
-
+        built: dict = {}
         scale = cfg.jump / N
-        values = []
-        for plan in plans:
-            if len(plan) == 1:
-                trace = np.trace(W(plan[0]))
+        order = sorted(range(len(plans)),
+                       key=lambda p: (plans[p][:-1], plans[p][-1]))
+        values = [0.0] * len(plans)
+        heads: list = []
+        for pos, p in enumerate(order):
+            head, last = plans[p][:-1], plans[p][-1]
+            for c in head[len(heads):]:
+                w = _gram_combination(c, gram, built)
+                if heads:
+                    w = None if heads[-1] is None or w is None else heads[-1] @ w
+                heads.append(w)
+            w = _gram_combination(last, gram, built)
+            if w is None or (heads and heads[-1] is None):
+                trace = 0.0
+            elif heads:
+                trace = np.einsum("ij,ji->", heads[-1], w)
             else:
-                acc = W(plan[0])
-                for c in plan[1:-1]:
-                    acc = acc @ W(c)
-                trace = np.einsum("ij,ji->", acc, W(plan[-1]))
-            values.append(scale ** len(plan) * float(trace) / N)
+                trace = np.trace(w)
+            values[p] = scale ** len(plans[p]) * float(trace) / N
+            following = plans[order[pos + 1]][:-1] if pos + 1 < len(order) else ()
+            del heads[_shared_length(head, following):]
         return values
 
     def estimate_words(self, words: Sequence[Sequence[ModelLetter]], *,

@@ -61,7 +61,7 @@ def test_nc_enum_cap_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("nc", "enum", "--q", "30"),
-    ("model", "z-moment", "--n", "2", "--m", "17"),
+    ("cumulants", "from-moments", "--moments", ",".join(["1"] * 17)),
 ])
 def test_cap_errors_point_at_no_cli_override(capsys, argv):
     # no subcommand takes a cap, so the message must not suggest passing one
@@ -156,6 +156,9 @@ def test_model_tau_word_syntax_errors(capsys):
 def test_model_z_moment(capsys):
     doc = run_json(capsys, "model", "z-moment", "--n", "2", "--m", "3")
     assert doc["result"] == "11"
+    # the closed form has no size limit
+    doc = run_json(capsys, "model", "z-moment", "--n", "2", "--m", "17")
+    assert doc["result"] == "55909013009"
 
 
 def test_model_dims(capsys):

@@ -4,12 +4,18 @@ The heaviest correctness check here rebuilds each trial's Gaussian block X
 and evaluates words by explicit embedding, multiplying the N-by-N Wishart
 matrix and the letters b kron I, then compares against the optimized path
 that cycles each word into Z c_1 ... Z c_k and evaluates it through the
-Gram blocks of X.  The spectra, taken from the eigenvalues of the Gram
+Gram blocks of X, sharing head products across the batch.  A word's
+estimate must not depend on its batch, and back-to-back batches must not
+hold on to memory.  The spectra, taken from the eigenvalues of the Gram
 X^T X, are checked against the squared singular values of X.
 """
+import gc
 import itertools
+import random
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -223,19 +229,79 @@ def test_rotated_frame_matches_naive_embedding(word):
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
+def sampled_words(alphabet, lengths, count, seed):
+    """Seeded sample of words over the alphabet, each with a generator letter."""
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        word = [rng.choice(alphabet) for _ in range(rng.choice(lengths))]
+        word[rng.randrange(len(word))] = Z
+        words.append(tuple(word))
+    return words
+
+
 @pytest.mark.parametrize("n, alphabet", [
     (2, [Z, E11, SKEW]),
     (3, [Z, E11_3, MIX_3]),
 ])
 def test_word_batch_matches_naive_embedding(n, alphabet):
-    # one batch, so words share W(c) within each trial
+    # one batch, so words share W(c) and head products within each trial;
+    # the sampled long words share heads of two to four factors
     cfg = SimulationConfig(n=n, N=120, trials=2, seed=19)
     words = [w for q in range(1, 5) for w in itertools.product(alphabet, repeat=q)
              if Z in w]
+    words += sampled_words(alphabet, (5, 6), 200, seed=n)
+    plans = {_compile_plan(w, n) for w in words}
+    heads = Counter(p[:k] for p in plans for k in (2, 3, 4) if len(p) > k)
+    assert {len(h) for h, count in heads.items() if count > 1} == {2, 3, 4}
     got = FreePairSampler(cfg).estimate_words(words)
     for word, est in zip(words, got):
         expected = np.mean([naive_word_trace(word, cfg, t) for t in range(2)])
         assert est.value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n, alphabet", [
+    (2, [Z, E11, SYM, SKEW]),
+    (3, [Z, E11_3, MIX_3]),
+])
+def test_estimates_do_not_depend_on_the_batch(n, alphabet, threads):
+    # every head product is formed left to right from the same arrays, so
+    # a word's estimate is the same to the last bit alone, in its batch and
+    # in a shuffled batch
+    cfg = SimulationConfig(n=n, N=120, trials=3, seed=43)
+    sampler = FreePairSampler(cfg)
+    words = sampled_words(alphabet, range(1, 7), 40, seed=10 + n)
+    batch = sampler.estimate_words(words, threads=threads)
+    perm = random.Random(n).sample(range(len(words)), len(words))
+    shuffled = sampler.estimate_words([words[i] for i in perm], threads=threads)
+    for k, i in enumerate(perm):
+        assert shuffled[k] == batch[i]
+    for word, est in zip(words, batch):
+        assert sampler.estimate(word, threads=threads) == est
+
+
+def test_back_to_back_batches_hold_no_memory():
+    # with the cyclic collector off, a reference cycle through a trial's
+    # arrays would keep every call's products alive
+    cfg = SimulationConfig(n=2, N=400, trials=1, seed=37)
+    sampler = FreePairSampler(cfg)
+    words = [w for q in range(1, 5) for w in itertools.product([Z, E11, SYM], repeat=q)]
+    sampler.estimate_words(words)  # compile the plans outside the measurement
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        sampler.estimate_words(words)
+        _, single_peak = tracemalloc.get_traced_memory()
+        for _ in range(30):
+            sampler.estimate_words(words)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert current < 3 * single_peak
 
 
 def test_matrix_only_words_are_exact():
