@@ -1,11 +1,17 @@
-"""The package's one memo policy: unbounded ``lru_cache`` tables, flushed together.
+"""The package's one memo policy: ``lru_cache`` tables, flushed together.
 
 Every package-level memo (partition tables, Mobius values, block traces,
-word traces, the centering engines) is a function decorated with
-:func:`memo`.  Arguments must be hashable; the tables grow without a bound
-for the life of the process, or until :func:`clear_all` empties every one
-of them at once.  Tests that monkeypatch a formula call ``clear_all`` first,
-otherwise stale entries would mask the patch.
+word traces, the centering engines, the Monte Carlo trial draw) is a
+function decorated with :func:`memo`.  Arguments must be hashable; the
+tables grow without a bound for the life of the process, or until
+:func:`clear_all` empties every one of them at once.  Tests that
+monkeypatch a formula call ``clear_all`` first, otherwise stale entries
+would mask the patch.
+
+One table is bounded: ``rmt._trial_draw`` keeps a single entry
+(``maxsize=1``).  Its values are a trial's Gaussian block and Gram blocks,
+megabytes each, and every new (config, trial) is a new key, so an
+unbounded table would keep every trial of a sweep alive.
 """
 from __future__ import annotations
 
@@ -14,9 +20,15 @@ from functools import lru_cache
 _MEMOS: list = []
 
 
-def memo(fn):
-    """Memoise ``fn`` without a size bound and register it with clear_all."""
-    cached = lru_cache(maxsize=None)(fn)
+def memo(fn=None, *, maxsize: int | None = None):
+    """Memoise ``fn`` and register it with clear_all.
+
+    Used bare (``@memo``) the table has no size bound; ``@memo(maxsize=k)``
+    keeps the k most recently used entries.
+    """
+    if fn is None:
+        return lambda f: memo(f, maxsize=maxsize)
+    cached = lru_cache(maxsize=maxsize)(fn)
     _MEMOS.append(cached)
     return cached
 

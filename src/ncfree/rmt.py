@@ -23,10 +23,19 @@ words of a batch share their head products W(c_1) ... W(c_{k-1}): each
 distinct head is multiplied once per trial, and each word then costs one
 O(M^2) trace.  Each word's factors c_1, ..., c_k are compiled once per
 (word, n) in exact arithmetic and memoised under the package's memo policy.
-The spectrum of A likewise comes from the M-by-M Gram X^T X, which shares
-the nonzero eigenvalues of X X^T.  Per-trial randomness comes from
-independent streams seeded by (seed, trial), which makes every estimate
-reproducible and safely parallelizable.
+The spectrum of A likewise comes from the M-by-M Gram
+X^T X = sum_i G_ii, which shares the nonzero eigenvalues of X X^T.
+
+Each trial draws X once.  :func:`_trial_draw` returns its row blocks and
+diagonal Gram blocks G_ii, and the word traces and the spectrum of the same
+(config, trial) share them: the words form only the off-diagonal blocks,
+and the spectrum only sums the diagonal ones.  The draw is memoised with a
+bound of one entry, so at most one trial's X and its n diagonal blocks
+outlive a call (8 MB at n=2, N=1000).  Both consumers compute from the
+memoised arrays in the same way whether the entry was cached or not, so no
+result depends on the cache or on call order.  Per-trial randomness comes
+from independent streams seeded by (seed, trial), which makes every
+estimate reproducible and safely parallelizable.
 
 This is the only module in the package that touches floating point.  numpy
 loads with it; scipy is needed only by :func:`mp_continuous_mass`, which
@@ -35,6 +44,7 @@ imports it on its first call.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -115,11 +125,31 @@ def _rng(config: SimulationConfig, trial: int) -> np.random.Generator:
 
 
 def _parallel(fn, count: int, threads: int) -> list:
-    if threads <= 1 or count <= 1:
+    # each running trial holds its own X and Gram blocks, so no more
+    # workers than trials or cores; results do not depend on the count
+    workers = min(threads, count, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(i) for i in range(count)]
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
+
+
+@memo(maxsize=1)
+def _trial_draw(config: SimulationConfig, trial: int):
+    """A trial's row blocks X_i of X and diagonal Gram blocks G_ii = X_i^T X_i.
+
+    X is drawn once from the trial's stream and each G_ii is one syrk.  The
+    arrays are read-only, since the memo hands the same ones to every
+    caller; one entry is kept, as each holds megabytes.
+    """
+    X = _rng(config, trial).standard_normal((config.N, config.gaussian_columns))
+    X.setflags(write=False)
+    rows = tuple(np.split(X, config.n))
+    diag = tuple(r.T @ r for r in rows)
+    for g in diag:
+        g.setflags(write=False)
+    return rows, diag
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +160,21 @@ def sample_free_poisson(config: SimulationConfig, *, threads: int = 1) -> np.nda
     """Eigenvalue samples of the Wishart generator, shape (trials, N).
 
     Rows are ascending.  The nonzero part is the M eigenvalues of the
-    M-by-M Gram X^T X, scaled by jump/N; A = (jump/N) X X^T has rank M, so
-    its other N - M eigenvalues are structural zeros, written as exact
-    zeros rather than computed.
+    M-by-M Gram X^T X = sum_i G_ii, the sum of the trial's diagonal Gram
+    blocks from :func:`_trial_draw`, scaled by jump/N; A = (jump/N) X X^T
+    has rank M, so its other N - M eigenvalues are structural zeros,
+    written as exact zeros rather than computed.  A trial whose draw the
+    word traces just made reuses it; the sum is formed the same way either
+    way, so the samples do not depend on the cache.
     """
     N = config.N
     M = config.gaussian_columns
     scale = config.jump / N
 
     def one(trial: int) -> np.ndarray:
-        X = _rng(config, trial).standard_normal((N, M))
-        # X.T @ X runs as one syrk; eigvalsh returns ascending eigenvalues
-        gram_spectrum = np.linalg.eigvalsh(X.T @ X)
+        _, diag = _trial_draw(config, trial)
+        # eigvalsh returns ascending eigenvalues
+        gram_spectrum = np.linalg.eigvalsh(sum(diag[1:], diag[0]))
         return np.concatenate([np.zeros(N - M), scale * gram_spectrum])
 
     return np.stack(_parallel(one, config.trials, threads))
@@ -280,8 +313,11 @@ class FreePairSampler:
     """Joint sampler for the Wishart generator and embedded matrix letters.
 
     Build once per configuration and batch words through
-    :meth:`estimate_words`.  A trial draws only X and forms its Gram blocks.
-    The words of the batch share each W(c) and each head product
+    :meth:`estimate_words`.  A trial takes X's row blocks and the diagonal
+    Gram blocks G_ii from :func:`_trial_draw` and forms only the
+    off-diagonal G_ij; the spectrum of the same trial, eigvalsh of
+    sum_i G_ii in :func:`sample_free_poisson`, reuses that draw.  The words
+    of the batch share each W(c) and each head product
     W(c_1) ... W(c_{k-1}) within the trial, and nothing is shared between
     trials.  A trial holds at most (longest plan - 1) head products at
     once, plus the summed W(c) of its distinct non-unit factors.  Every
@@ -303,13 +339,15 @@ class FreePairSampler:
         """
         cfg = self.config
         n, N = cfg.n, cfg.N
-        X = _rng(cfg, trial).standard_normal((N, cfg.gaussian_columns))
-        rows = np.split(X, n)
+        rows, diag = _trial_draw(cfg, trial)
         gram = {}
         for i in range(n):
             for j in range(i, n):
-                gram[i, j] = rows[i].T @ rows[j]
-                gram[j, i] = gram[i, j].T
+                g = diag[i] if i == j else rows[i].T @ rows[j]
+                # G_ji is the transposed view of G_ij, the diagonal too: the
+                # bits of a product depend on its operands' memory layout
+                gram[i, j] = g
+                gram[j, i] = g.T
         built: dict = {}
         scale = cfg.jump / N
         order = sorted(range(len(plans)),

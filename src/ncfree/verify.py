@@ -456,7 +456,10 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
     within t * SE of 1, with t the quantile at the two-sided rate
     MC_FAMILY_RATE on the same degrees of freedom.  At N=300 the spectra
     must match the squared singular values of X, the independent oracle of
-    the Gram route, to 1e-12 of the largest eigenvalue.
+    the Gram route, to 1e-12 of the largest eigenvalue.  Reruns must
+    reproduce the spectra and estimates bit for bit across thread counts,
+    and the spectrum taken right after a word batch, from the draw the
+    words memoised, must equal the one drawn cold.
     """
     import numpy as np
     from scipy import stats
@@ -539,6 +542,15 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
     second = rmt.FreePairSampler(rerun).estimate_words(small, threads=2)
     if first != second:
         problems.append("estimates differ between runs or thread counts")
+    # the spectrum right after the words reuses their memoised draw: for two
+    # trials under a race between two threads, in full for one trial
+    warm = rmt.sample_free_poisson(rerun, threads=2)
+    single = rmt.SimulationConfig(n=config.n, N=config.N, trials=1,
+                                  seed=config.seed)
+    rmt.FreePairSampler(single).estimate_words(small)
+    if not ((warm == eigs[:2]).all()
+            and (rmt.sample_free_poisson(single) == eigs[:1]).all()):
+        problems.append("eigenvalue samples change when the words' draw is reused")
 
     return _finish(
         "monte-carlo", problems,

@@ -7,10 +7,14 @@ that cycles each word into Z c_1 ... Z c_k and evaluates it through the
 Gram blocks of X, sharing head products across the batch.  A word's
 estimate must not depend on its batch, and back-to-back batches must not
 hold on to memory.  The spectra, taken from the eigenvalues of the Gram
-X^T X, are checked against the squared singular values of X.
+X^T X = sum_i G_ii, are checked against the squared singular values of X.
+Words and spectra share each trial's memoised draw, and neither may depend
+on whether the draw was cached.
 """
+import concurrent.futures
 import gc
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -28,7 +32,9 @@ from ncfree.rmt import (
     FreePairSampler,
     SimulationConfig,
     _compile_plan,
+    _parallel,
     _rng,
+    _trial_draw,
     atom_mass_estimate,
     mp_continuous_mass,
     mp_density,
@@ -127,6 +133,36 @@ def test_eigenvalue_samples_are_deterministic_and_stream_based():
     assert np.array_equal(short, a[:2])
     threaded = sample_free_poisson(cfg, threads=3)
     assert np.array_equal(threaded, a)
+
+
+def test_thread_pool_is_bounded_by_trials_and_cores(monkeypatch):
+    # the recorder runs the map in the calling thread, so no thread starts
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    squares = [i * i for i in range(64)]
+    assert _parallel(lambda i: i * i, 64, 64) == squares
+    assert _parallel(lambda i: i * i, 3, 64) == squares[:3]
+    assert _parallel(lambda i: i * i, 64, 2) == squares
+    assert seen == [4, 3, 2]
+    # an unknown core count runs the trials in the calling thread
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _parallel(lambda i: i * i, 8, 8) == squares[:8]
+    assert seen == [4, 3, 2]
 
 
 @pytest.mark.parametrize("n, N", [(2, 400), (3, 399)])
@@ -283,25 +319,60 @@ def test_estimates_do_not_depend_on_the_batch(n, alphabet, threads):
 
 def test_back_to_back_batches_hold_no_memory():
     # with the cyclic collector off, a reference cycle through a trial's
-    # arrays would keep every call's products alive
-    cfg = SimulationConfig(n=2, N=400, trials=1, seed=37)
-    sampler = FreePairSampler(cfg)
+    # arrays would keep every call's products alive; every call draws a new
+    # trial, so a draw memo without its one-entry bound would keep them all
     words = [w for q in range(1, 5) for w in itertools.product([Z, E11, SYM], repeat=q)]
-    sampler.estimate_words(words)  # compile the plans outside the measurement
+
+    def batch_and_spectrum(seed):
+        cfg = SimulationConfig(n=2, N=400, trials=1, seed=seed)
+        FreePairSampler(cfg).estimate_words(words)
+        sample_free_poisson(cfg)
+
+    batch_and_spectrum(37)  # compile the plans outside the measurement
     was_enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
     try:
-        sampler.estimate_words(words)
+        batch_and_spectrum(38)
         _, single_peak = tracemalloc.get_traced_memory()
-        for _ in range(30):
-            sampler.estimate_words(words)
+        for seed in range(39, 69):
+            batch_and_spectrum(seed)
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         if was_enabled:
             gc.enable()
     assert current < 3 * single_peak
+    assert _trial_draw.cache_info().currsize <= 1
+    clear_caches()
+    assert _trial_draw.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n, alphabet", [
+    (2, [Z, E11, SYM, SKEW]),
+    (3, [Z, E11_3, MIX_3]),
+])
+def test_the_draw_cache_cannot_change_a_result(n, alphabet, threads):
+    # a one-trial config hits the memoised draw in both directions; over
+    # three trials the one-entry memo is mostly cold, and two threads race
+    # for it
+    words = sampled_words(alphabet, range(1, 6), 30, seed=20 + n)
+    for trials in (1, 3):
+        cfg = SimulationConfig(n=n, N=120, trials=trials, seed=53)
+        clear_caches()
+        cold = sample_free_poisson(cfg)
+        clear_caches()
+        words_first = FreePairSampler(cfg).estimate_words(words, threads=threads)
+        hits = _trial_draw.cache_info().hits
+        after_words = sample_free_poisson(cfg, threads=threads)
+        words_after = FreePairSampler(cfg).estimate_words(words, threads=threads)
+        if trials == 1:
+            assert _trial_draw.cache_info().hits == hits + 2
+        threaded = sample_free_poisson(cfg, threads=2)
+        assert np.array_equal(after_words, cold)
+        assert np.array_equal(threaded, cold)
+        assert words_after == words_first
 
 
 def test_matrix_only_words_are_exact():
