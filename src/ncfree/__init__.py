@@ -17,7 +17,6 @@ from .errors import (
     MobiusOrderError,
     NcfreeError,
     SizeLimitError,
-    UnsupportedProductError,
     WordSyntaxError,
 )
 from .factors import (
@@ -29,12 +28,8 @@ from .factors import (
     vn_z_description,
 )
 from .freeprob import (
-    AlgebraOracle,
     FreenessReport,
-    FreePoissonOracle,
     FreeProduct,
-    MatrixTraceOracle,
-    TracialLetter,
     free_poisson_cumulant,
     free_poisson_moment,
     freeness_check,
@@ -77,18 +72,16 @@ __all__ = [
     "__version__", "clear_caches",
     # errors
     "NcfreeError", "MalformedPartitionError", "GroundMismatchError",
-    "MobiusOrderError", "SizeLimitError", "ArityError",
-    "UnsupportedProductError", "ConfigError", "WordSyntaxError",
+    "MobiusOrderError", "SizeLimitError", "ArityError", "ConfigError",
+    "WordSyntaxError",
     # partitions
     "NonCrossingPartition", "catalan", "enumerate_nc", "is_noncrossing",
     "refines", "mobius", "kreweras_complement", "pi_tilde",
     "pi_tilde_bruteforce", "multiplicative_extension", "moments_to_cumulants",
     "cumulants_to_moments", "partitioned_forms_check",
     # free probability
-    "AlgebraOracle", "MatrixTraceOracle", "FreePoissonOracle", "TracialLetter",
     "FreeProduct", "FreenessReport", "free_poisson_cumulant",
-    "free_poisson_moment", "mixed_cumulant",
-    "freeness_check",
+    "free_poisson_moment", "mixed_cumulant", "freeness_check",
     # model
     "ModelParams", "ModelLetter", "Z", "matrix_letter", "dim_box",
     "z_cumulant", "z_moment", "tau_word", "pi_term", "PiTermBreakdown",

@@ -14,31 +14,36 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__, factors, freeprob, model, ncpart, ratmat
 from .errors import (ArityError, ConfigError, GroundMismatchError, NcfreeError,
-                     OutputError, WordSyntaxError)
+                     OutputError, SizeLimitError, WordSyntaxError)
 from .model import ModelParams
 
 EXACT = "exact"
 MONTECARLO = "montecarlo"
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("NCFREE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _doc(op: str, params: dict, result, provenance: str) -> dict:
     return {"op": op, "params": params, "result": result,
             "provenance": provenance, "version": __version__}
+
+
+def _exact(value) -> str:
+    """Text of an exact result: an int, a Fraction, or a factor description.
+
+    Python refuses to print an int with more digits than
+    ``sys.get_int_max_str_digits()``; such a result is a usage error.
+    """
+    try:
+        return value.display() if hasattr(value, "display") else str(value)
+    except ValueError as exc:
+        raise SizeLimitError(
+            f"exact result above Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits per integer") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +109,7 @@ def _cmd_nc_mobius(args) -> tuple[dict, int]:
     sigma = ncpart.NonCrossingPartition.from_string(args.sigma)
     value = ncpart.mobius(pi, sigma)
     params = {"pi": str(pi), "sigma": str(sigma)}
-    return _doc("nc mobius", params, str(value), EXACT), 0
+    return _doc("nc mobius", params, _exact(value), EXACT), 0
 
 
 def _cmd_nc_pitilde(args) -> tuple[dict, int]:
@@ -134,7 +139,7 @@ def _cmd_cumulants_from_moments(args) -> tuple[dict, int]:
     out = [ncpart.moments_to_cumulants(phi, ("x",) * q)
            for q in range(1, len(moments) + 1)]
     params = {"moments": [str(v) for v in moments]}
-    return _doc("cumulants from-moments", params, [str(v) for v in out], EXACT), 0
+    return _doc("cumulants from-moments", params, [_exact(v) for v in out], EXACT), 0
 
 
 def _cmd_cumulants_to_moments(args) -> tuple[dict, int]:
@@ -149,7 +154,7 @@ def _cmd_cumulants_to_moments(args) -> tuple[dict, int]:
     out = [ncpart.cumulants_to_moments(kappa, ("x",) * q)
            for q in range(1, len(cumulants) + 1)]
     params = {"cumulants": [str(v) for v in cumulants]}
-    return _doc("cumulants to-moments", params, [str(v) for v in out], EXACT), 0
+    return _doc("cumulants to-moments", params, [_exact(v) for v in out], EXACT), 0
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +165,7 @@ def _cmd_model_tau(args) -> tuple[dict, int]:
     word = parse_word(args.word)
     value = model.tau_word(word, ModelParams(args.n))
     params = {"n": args.n, "word": args.word}
-    return _doc("model tau", params, str(value), EXACT), 0
+    return _doc("model tau", params, _exact(value), EXACT), 0
 
 
 def _cmd_model_pi_term(args) -> tuple[dict, int]:
@@ -171,11 +176,11 @@ def _cmd_model_pi_term(args) -> tuple[dict, int]:
     result = {
         "pi": str(term.pi),
         "pi_tilde": str(term.pi_tilde),
-        "cumulant_factor": str(term.cumulant_factor),
+        "cumulant_factor": _exact(term.cumulant_factor),
         "loop_count": term.loop_count,
-        "block_traces": [{"positions": list(v), "trace": str(t)}
+        "block_traces": [{"positions": list(v), "trace": _exact(t)}
                          for v, t in term.block_traces],
-        "value": str(term.value),
+        "value": _exact(term.value),
     }
     params = {"n": args.n, "word": args.word, "pi": str(pi)}
     return _doc("model pi-term", params, result, EXACT), 0
@@ -183,12 +188,13 @@ def _cmd_model_pi_term(args) -> tuple[dict, int]:
 
 def _cmd_model_z_moment(args) -> tuple[dict, int]:
     value = model.z_moment(args.m, ModelParams(args.n))
-    return _doc("model z-moment", {"n": args.n, "m": args.m}, str(value), EXACT), 0
+    return _doc("model z-moment", {"n": args.n, "m": args.m}, _exact(value),
+                EXACT), 0
 
 
 def _cmd_model_dims(args) -> tuple[dict, int]:
     value = model.dim_box(args.k, ModelParams(args.n))
-    return _doc("model dims", {"n": args.n, "k": args.k}, str(value), EXACT), 0
+    return _doc("model dims", {"n": args.n, "k": args.k}, _exact(value), EXACT), 0
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +215,18 @@ def _cmd_free_check(args) -> tuple[dict, int]:
         "tuples_checked": report.tuples_checked,
         "max_q": report.max_q,
         "truncated": report.truncated,
-        "violations": [{"word": _label(w), "value": str(v)}
+        "violations": [{"word": model._word_label(w), "value": _exact(v)}
                        for w, v in report.violations],
     }
     doc = _doc("free check", {"n": args.n, "max_q": args.max_q}, result, EXACT)
     return doc, 0 if report.certified else 1
 
 
-def _label(word) -> str:
-    return "".join("Z" if l.is_z else "b" for l in word)
-
-
 def _cmd_free_product_moment(args) -> tuple[dict, int]:
     word = parse_word(args.word)
     value = model.centering_moment(word, ModelParams(args.n))
     params = {"n": args.n, "word": args.word}
-    return _doc("free product-moment", params, str(value), EXACT), 0
+    return _doc("free product-moment", params, _exact(value), EXACT), 0
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +237,13 @@ def _cmd_factor_dykema(args) -> tuple[dict, int]:
     desc = factors.dykema_free_product(
         ratmat.parse_rational(args.r), ratmat.parse_rational(args.alpha), args.d)
     params = {"r": args.r, "alpha": args.alpha, "d": args.d}
-    return _doc("factor dykema", params, desc.display(), EXACT), 0
+    return _doc("factor dykema", params, _exact(desc), EXACT), 0
 
 
 def _cmd_factor_m3(args) -> tuple[dict, int]:
     parameter = factors.m3_parameter(ModelParams(args.n))
-    display = factors.Summand(Fraction(1), factors.FREE_GROUP, parameter).display()
-    return _doc("factor m3", {"n": args.n}, display, EXACT), 0
+    summand = factors.Summand(Fraction(1), factors.FREE_GROUP, parameter)
+    return _doc("factor m3", {"n": args.n}, _exact(summand), EXACT), 0
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="group", required=True)
 
     def threads_opt(p):
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads (default from NCFREE_THREADS)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default 1)")
 
     nc = sub.add_parser("nc", help="non-crossing partition calculus")
     ncsub = nc.add_subparsers(dest="cmd", required=True)

@@ -31,10 +31,6 @@ class ArityError(NcfreeError, ValueError):
     """A functional was evaluated at an unsupported arity."""
 
 
-class UnsupportedProductError(NcfreeError, ValueError):
-    """An algebra oracle cannot represent a product it was asked for."""
-
-
 class ConfigError(NcfreeError, ValueError):
     """Invalid model or simulation parameters."""
 

@@ -1,9 +1,9 @@
 """Free probability over exact scalars.
 
-Provides the algebra oracle interface, the centering algorithm that reduces a
-free product moment to single-algebra traces, mixed cumulants by Mobius
-inversion, a freeness certifier, and the free Poisson moment and cumulant
-family.
+Provides the free product of the model's generator with M_n and its
+centering algorithm, which reduces a mixed moment to single-algebra traces,
+mixed cumulants by Mobius inversion, a freeness certifier, and the free
+Poisson moment and cumulant family.
 
 The centering route is kept deliberately independent of the partition
 factorization implemented in :mod:`ncfree.model`; agreement of the two is one
@@ -12,98 +12,18 @@ of the package's main correctness checks.
 from __future__ import annotations
 
 import itertools
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import ncpart, ratmat
-from .errors import ArityError, ConfigError, SizeLimitError, UnsupportedProductError
+from .errors import ArityError, ConfigError, SizeLimitError
 
 ExactScalar = ncpart.ExactScalar
 MomentSource = Callable[[tuple], ExactScalar]
 
 # the longest word the 2^q centering recursion accepts
 WORD_LIMIT = 10
-
-
-# ---------------------------------------------------------------------------
-# algebra oracles
-
-
-class AlgebraOracle(ABC):
-    """Tracial access to one algebra: traces of words, partial products, unit.
-
-    Letters are opaque hashable payloads.  ``multiply`` may refuse a product
-    by raising :class:`UnsupportedProductError`; the centering algorithm only
-    ever multiplies adjacent letters of the same algebra.
-    """
-
-    @property
-    @abstractmethod
-    def unit(self) -> Hashable:
-        """Payload acting as the multiplicative unit."""
-
-    @abstractmethod
-    def trace(self, word: tuple) -> ExactScalar:
-        """Exact trace of an ordered word of this algebra's letters."""
-
-    def multiply(self, a: Hashable, b: Hashable) -> Hashable:
-        raise UnsupportedProductError(
-            f"{type(self).__name__} cannot multiply {a!r} and {b!r}")
-
-
-class MatrixTraceOracle(AlgebraOracle):
-    """n-by-n rational matrices under the normalized trace."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ConfigError(f"matrix size must be positive, got {n}")
-        self.n = n
-        self._unit = ratmat.identity(n)
-
-    @property
-    def unit(self):
-        return self._unit
-
-    def trace(self, word: tuple) -> Fraction:
-        if not word:
-            return Fraction(1)
-        for m in word:
-            if len(m) != self.n:
-                raise ConfigError(f"expected {self.n}x{self.n} matrices")
-        return ratmat.product_trace(word)
-
-    def multiply(self, a, b):
-        return ratmat.mat_mul(a, b)
-
-
-class FreePoissonOracle(AlgebraOracle):
-    """Powers of a single free Poisson element; payloads are exponents."""
-
-    def __init__(self, rate, jump):
-        self.rate = Fraction(rate)
-        self.jump = Fraction(jump)
-
-    @property
-    def unit(self):
-        return 0
-
-    def trace(self, word: tuple) -> Fraction:
-        total = sum(word)
-        if any(k < 0 for k in word):
-            raise ConfigError(f"negative exponent in {word}")
-        return free_poisson_moment(self.rate, self.jump, total)
-
-    def multiply(self, a, b):
-        return a + b
-
-
-@dataclass(frozen=True)
-class TracialLetter:
-    """A letter of a free product word: which algebra, plus its payload."""
-    algebra: int
-    payload: Hashable
 
 
 # ---------------------------------------------------------------------------
@@ -142,66 +62,79 @@ def free_poisson_moment(rate, jump, m: int) -> Fraction:
 
 
 class FreeProduct:
-    """Tracial free product of labelled algebra oracles.
+    """Tracial free product of the generator Z with n-by-n matrices.
 
-    ``moment`` evaluates the trace of a mixed word by the centering recursion:
-    merge adjacent same-algebra letters, split every letter into its centered
-    part plus a scalar, expand multilinearly, and use that an alternating
-    product of centered letters has trace zero.  The cost doubles with each
+    Z is the free Poisson element with rate 1/n and jump n.  A word is a
+    tuple of letter payloads: an int k >= 0 stands for Z**k, and an n-by-n
+    ``ratmat`` matrix stands for itself.  ``moment`` evaluates the trace by
+    the centering recursion: merge adjacent letters of one algebra, split
+    every letter into its centered part plus a scalar, expand
+    multilinearly, and use that an alternating product of centered letters
+    has trace zero.  Powers of Z are traced by ``free_poisson_moment``,
+    matrices by unmemoised ``ratmat`` traces.  The cost doubles with each
     letter, so words longer than ``WORD_LIMIT`` are refused.  Subword values
     are memoized on the instance, so one FreeProduct should be reused across
     many words.
+
+    >>> FreeProduct(2).moment((1, 1)) == 3
+    True
     """
 
-    def __init__(self, oracles: Mapping[int, AlgebraOracle]):
-        self.oracles = dict(oracles)
+    def __init__(self, n: int):
+        if not isinstance(n, int) or n < 1:
+            raise ConfigError(f"matrix size must be a positive integer, got {n!r}")
+        self.n = n
+        self._identity = ratmat.identity(n)
         self._memo: dict = {}
 
-    def moment(self, word: Sequence[TracialLetter]) -> Fraction:
+    def moment(self, word: Sequence) -> Fraction:
         if len(word) > WORD_LIMIT:
             raise SizeLimitError(
                 f"word of length {len(word)} above the word limit of {WORD_LIMIT}")
         for letter in word:
-            if letter.algebra not in self.oracles:
-                raise ConfigError(f"no oracle for algebra {letter.algebra!r}")
+            if isinstance(letter, int):
+                if letter < 0:
+                    raise ConfigError(f"negative power {letter} of the generator")
+            elif not isinstance(letter, tuple) or len(letter) != self.n:
+                raise ConfigError(f"expected a power of Z or a {self.n}x{self.n} "
+                                  f"matrix, got {letter!r}")
         return Fraction(self._moment(self._normalize(word)))
 
     # -- internals
 
+    def _is_unit(self, letter) -> bool:
+        return letter == (0 if isinstance(letter, int) else self._identity)
+
+    def _trace(self, letter) -> Fraction:
+        if isinstance(letter, int):
+            return free_poisson_moment(Fraction(1, self.n), self.n, letter)
+        return ratmat.product_trace((letter,))
+
     def _normalize(self, word) -> tuple:
-        # merge adjacent same-algebra letters and drop unit letters; repeats
-        # until stable because a merge can create a unit or a new adjacency
-        out: list[TracialLetter] = []
+        # merge adjacent same-algebra letters and drop unit letters; a merge
+        # can create a unit, which exposes a new adjacency to the next letter
+        out: list = []
         for letter in word:
-            cur = letter
-            while True:
-                if cur.payload == self.oracles[cur.algebra].unit:
-                    cur = None
-                    break
-                if out and out[-1].algebra == cur.algebra:
-                    prev = out.pop()
-                    merged = self.oracles[cur.algebra].multiply(prev.payload, cur.payload)
-                    cur = TracialLetter(cur.algebra, merged)
-                    continue
-                break
-            if cur is not None:
-                out.append(cur)
+            while (not self._is_unit(letter) and out
+                   and isinstance(out[-1], int) == isinstance(letter, int)):
+                prev = out.pop()
+                letter = (prev + letter if isinstance(letter, int)
+                          else ratmat.mat_mul(prev, letter))
+            if not self._is_unit(letter):
+                out.append(letter)
         return tuple(out)
 
     def _moment(self, word: tuple) -> ExactScalar:
         if not word:
             return 1
-        key = tuple((l.algebra, l.payload) for l in word)
-        hit = self._memo.get(key)
+        hit = self._memo.get(word)
         if hit is not None:
             return hit
         if len(word) == 1:
-            letter = word[0]
-            value = self.oracles[letter.algebra].trace((letter.payload,))
-            self._memo[key] = value
+            value = self._memo[word] = self._trace(word[0])
             return value
         q = len(word)
-        traces = [self.oracles[l.algebra].trace((l.payload,)) for l in word]
+        traces = [self._trace(letter) for letter in word]
         # tau(word) = -sum over proper subsets S of (-1)^(q-|S|) *
         #             prod of traces outside S * tau(subword on S);
         # the full-set term vanishes by freeness of centered letters.
@@ -217,7 +150,7 @@ class FreeProduct:
             if coeff != 0:
                 total += coeff * self._moment(self._normalize(sub))
         value = -total
-        self._memo[key] = value
+        self._memo[word] = value
         return value
 
 

@@ -9,8 +9,10 @@ of the matrix positions.  ``pi_term`` exposes one summand of that formula
 together with its loop bookkeeping; ``tau_word`` sums them.
 
 ``centering_moment`` evaluates the same trace through the free product
-centering algorithm of :mod:`ncfree.freeprob` and shares no code with the
-factorization; keeping both routes in agreement is acceptance-critical.
+centering algorithm of :mod:`ncfree.freeprob`, on a word of letter payloads
+(Z becomes the power 1, a matrix letter its matrix), and shares no code or
+memo with the factorization; keeping both routes in agreement is
+acceptance-critical.
 """
 from __future__ import annotations
 
@@ -22,13 +24,7 @@ from typing import Iterable, Sequence
 from . import freeprob, ncpart, ratmat
 from ._caches import memo
 from .errors import ArityError, ConfigError, GroundMismatchError, SizeLimitError
-from .freeprob import (
-    FreeProduct,
-    FreePoissonOracle,
-    MatrixTraceOracle,
-    TracialLetter,
-    mixed_cumulant,
-)
+from .freeprob import FreeProduct, mixed_cumulant
 from .ncpart import NonCrossingPartition
 
 
@@ -89,6 +85,11 @@ def _split_word(word: Sequence[ModelLetter], params: ModelParams
                     f"matrix letter of size {len(letter.matrix)} in an n={params.n} model")
             E.append(i)
     return tuple(D), tuple(E)
+
+
+def _word_label(word: Sequence[ModelLetter]) -> str:
+    # Z for the generator, b for a matrix letter
+    return "".join("Z" if l.is_z else "b" for l in word)
 
 
 # ---------------------------------------------------------------------------
@@ -280,26 +281,9 @@ def tilde_kappa(word: Sequence[ModelLetter], sigma: NonCrossingPartition,
 # ---------------------------------------------------------------------------
 # independent route through the free product centering algorithm
 
-_Z_ALGEBRA = 0
-_MATRIX_ALGEBRA = 1
-
-
 @memo
 def _free_product(n: int) -> FreeProduct:
-    return FreeProduct(
-        {_Z_ALGEBRA: FreePoissonOracle(Fraction(1, n), n),
-         _MATRIX_ALGEBRA: MatrixTraceOracle(n)})
-
-
-def as_free_product_word(word: Sequence[ModelLetter]) -> tuple[TracialLetter, ...]:
-    """Translate model letters into free product letters."""
-    out = []
-    for letter in word:
-        if letter.is_z:
-            out.append(TracialLetter(_Z_ALGEBRA, 1))
-        else:
-            out.append(TracialLetter(_MATRIX_ALGEBRA, letter.matrix))
-    return tuple(out)
+    return FreeProduct(n)
 
 
 def centering_moment(word: Sequence[ModelLetter], params: ModelParams, *,
@@ -314,4 +298,5 @@ def centering_moment(word: Sequence[ModelLetter], params: ModelParams, *,
     _split_word(word, params)
     if len(word) > cap:
         raise SizeLimitError(f"word of length {len(word)} above the cap of {cap}")
-    return _free_product(params.n).moment(as_free_product_word(word))
+    return _free_product(params.n).moment(
+        tuple(1 if letter.is_z else letter.matrix for letter in word))

@@ -468,6 +468,8 @@ def mobius(pi: NonCrossingPartition, sigma: NonCrossingPartition) -> int:
     """Mobius function of the non-crossing partition lattice at (pi, sigma).
 
     Requires pi to refine sigma; raises :class:`MobiusOrderError` otherwise.
+    The interval factors over the blocks of sigma, and each block sums over
+    its own NC lattice, so a block above ``ENUMERATION_LIMIT`` is refused.
 
     >>> g = (1, 2, 3)
     >>> mobius(NonCrossingPartition.singletons(g), NonCrossingPartition.whole(g))
@@ -478,6 +480,8 @@ def mobius(pi: NonCrossingPartition, sigma: NonCrossingPartition) -> int:
             f"mobius needs a common ground, got {pi.ground} and {sigma.ground}")
     if not refines(pi, sigma):
         raise MobiusOrderError(f"{pi} does not refine {sigma}")
+    for V in sigma.blocks:
+        _check_cap(len(V))
     return _mobius_positions(pi.blocks, sigma.blocks)
 
 

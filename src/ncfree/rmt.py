@@ -54,7 +54,7 @@ import numpy as np
 from . import ratmat
 from ._caches import memo
 from .errors import ConfigError
-from .model import ModelLetter, ModelParams
+from .model import ModelLetter, ModelParams, _split_word
 
 __all__ = [
     "SimulationConfig", "MomentEstimate", "FreePairSampler",
@@ -106,9 +106,6 @@ class SimulationConfig:
     @property
     def atom_threshold(self) -> float:
         return 1e-6 * self.n
-
-    def params(self) -> ModelParams:
-        return ModelParams(self.n)
 
 
 @dataclass(frozen=True)
@@ -232,12 +229,7 @@ def _word_plan(word: Sequence[ModelLetter], n: int):
     (word, n).
     """
     word = tuple(word)
-    for letter in word:
-        if not isinstance(letter, ModelLetter):
-            raise ConfigError(f"expected ModelLetter, got {letter!r}")
-        if not letter.is_z and len(letter.matrix) != n:
-            raise ConfigError(
-                f"matrix letter of size {len(letter.matrix)} in an n={n} simulation")
+    _split_word(word, ModelParams(n))
     return _compile_plan(word, n)
 
 

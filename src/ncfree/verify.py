@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import factors, freeprob, model, ncpart, ratmat
-from .model import ModelParams, Z, matrix_letter
+from .model import ModelParams, Z, _word_label, matrix_letter
 
 VERIFY_SEED = 20260824
 # family-wise false-alarm rate of the Monte Carlo gate over its mixed words
@@ -303,10 +303,6 @@ def check_word_trace_dual_route(quick: bool = False) -> CheckResult:
     return _finish("word-trace-dual-route", problems,
                    f"{words} words (all length<={max_len} at n=2, "
                    f"{sampled} sampled at n=3)", t0)
-
-
-def _word_label(word) -> str:
-    return "".join("Z" if l.is_z else "b" for l in word)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Command line contract: JSON schema, frozen outputs, exit codes."""
 import json
+from fractions import Fraction
 
 import pytest
 
 import ncfree
-from ncfree import cli, model
+from ncfree import cli, model, ncpart
+from ncfree.errors import SizeLimitError
 
 
 def run(capsys, *argv):
@@ -78,6 +80,14 @@ def test_nc_mobius(capsys):
 def test_nc_mobius_rejects_incomparable(capsys):
     expect_usage_error(capsys, "nc", "mobius",
                        "--pi", "{1,2}{3}", "--sigma", "{1}{2,3}")
+
+
+def test_nc_mobius_refuses_a_block_above_the_enumeration_limit(capsys):
+    ground = range(1, ncpart.ENUMERATION_LIMIT + 2)
+    pi = "".join(f"{{{i}}}" for i in ground)
+    sigma = "{" + ",".join(map(str, ground)) + "}"
+    err = expect_usage_error(capsys, "nc", "mobius", "--pi", pi, "--sigma", sigma)
+    assert "enumeration limit" in err
 
 
 def test_nc_pitilde_frozen_instance(capsys):
@@ -164,6 +174,18 @@ def test_model_z_moment(capsys):
 def test_model_dims(capsys):
     doc = run_json(capsys, "model", "dims", "--n", "3", "--k", "3")
     assert doc["result"] == "9"
+
+
+def test_results_past_the_int_digit_limit_are_usage_errors(capsys):
+    # Python refuses to print an int of more than 4300 digits by default
+    err = expect_usage_error(capsys, "model", "dims", "--n", "2", "--k", "20000")
+    assert "digits" in err and "Traceback" not in err
+    big = "7" * 3000
+    err = expect_usage_error(capsys, "cumulants", "to-moments",
+                             "--cumulants", f"{big},{big}")
+    assert "digits" in err and "Traceback" not in err
+    with pytest.raises(SizeLimitError):
+        cli._exact(Fraction(10 ** 5000, 3))
 
 
 def test_model_pi_term(capsys):
@@ -283,16 +305,9 @@ def test_negative_seeds_and_threads_are_usage_errors(capsys, argv):
     expect_usage_error(capsys, *argv)
 
 
-def test_threads_default_env(monkeypatch):
-    monkeypatch.setenv("NCFREE_THREADS", "3")
-    assert cli._default_threads() == 3
-    # the environment default clamps where the --threads option refuses
-    monkeypatch.setenv("NCFREE_THREADS", "0")
-    assert cli._default_threads() == 1
-    monkeypatch.setenv("NCFREE_THREADS", "junk")
-    assert cli._default_threads() == 1
-    monkeypatch.delenv("NCFREE_THREADS")
-    assert cli._default_threads() == 1
+def test_threads_default_to_one():
+    args = cli._build_parser().parse_args(["rmt", "sample", *RMT_SIZE])
+    assert args.threads == 1
 
 
 # ---------------------------------------------------------------------------

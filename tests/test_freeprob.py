@@ -13,10 +13,7 @@ import pytest
 from ncfree import freeprob, ratmat
 from ncfree.errors import ArityError, ConfigError, SizeLimitError
 from ncfree.freeprob import (
-    FreePoissonOracle,
     FreeProduct,
-    MatrixTraceOracle,
-    TracialLetter,
     free_poisson_cumulant,
     free_poisson_moment,
     freeness_check,
@@ -67,92 +64,82 @@ def test_free_poisson_moments_match_narayana_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# oracles
+# free product moments on payload words: Z**k is the int k, a matrix letter
+# is its n-by-n matrix
+
+
+E11 = ratmat.matrix_unit(2, 1, 1)
 
 
 def test_matrix_trace_oracle():
-    o = MatrixTraceOracle(2)
+    # matrix-only words are normalized traces of their product
+    fp = FreeProduct(2)
     e12 = ratmat.matrix_unit(2, 1, 2)
     e21 = ratmat.matrix_unit(2, 2, 1)
-    assert o.trace(()) == 1
-    assert o.trace((o.unit,)) == 1
-    assert o.trace((e12, e21)) == Fraction(1, 2)
-    assert o.multiply(e12, e21) == ratmat.matrix_unit(2, 1, 1)
+    assert fp.moment(()) == 1
+    assert fp.moment((ratmat.identity(2),)) == 1
+    assert fp.moment((e12, e21)) == Fraction(1, 2)
+    # adjacent matrices merge into their product before any trace
+    assert fp._normalize((e12, e21)) == (E11,)
     with pytest.raises(ConfigError):
-        o.trace((ratmat.identity(3),))
+        fp.moment((ratmat.identity(3),))
     with pytest.raises(ConfigError):
-        MatrixTraceOracle(0)
+        fp.moment((1, ratmat.identity(3)))
+    for bad_n in (0, -1, 2.0):
+        with pytest.raises(ConfigError):
+            FreeProduct(bad_n)
 
 
 def test_free_poisson_oracle():
-    o = FreePoissonOracle(Fraction(1, 2), 2)
-    assert o.unit == 0
-    assert o.multiply(2, 3) == 5
-    assert o.trace((2, 1)) == free_poisson_moment(Fraction(1, 2), 2, 3)
+    # powers of Z are free Poisson moments with rate 1/n and jump n
+    fp = FreeProduct(2)
+    assert fp._normalize((2, 3)) == (5,)
+    assert fp.moment((2, 1)) == free_poisson_moment(Fraction(1, 2), 2, 3)
+    assert FreeProduct(3).moment((4,)) == free_poisson_moment(Fraction(1, 3), 3, 4)
     with pytest.raises(ConfigError):
-        o.trace((-1,))
-
-
-def test_tracial_letter_is_hashable_and_frozen():
-    a = TracialLetter(0, 1)
-    assert a == TracialLetter(0, 1)
-    assert hash(a) == hash(TracialLetter(0, 1))
-    with pytest.raises(Exception):
-        a.payload = 2
-
-
-# ---------------------------------------------------------------------------
-# free product moments
-
-
-def make_pair(n=2):
-    """Free Poisson generator coupled freely to n-by-n matrices."""
-    return FreeProduct({0: FreePoissonOracle(Fraction(1, n), n),
-                        1: MatrixTraceOracle(n)})
+        fp.moment((-1,))
+    with pytest.raises(ConfigError):
+        fp.moment((1, -2, E11))
 
 
 def test_single_algebra_words_reduce_to_the_oracle():
-    fp = make_pair()
+    fp = FreeProduct(2)
     for q in range(1, 6):
-        word = (TracialLetter(0, 1),) * q
-        assert fp.moment(word) == free_poisson_moment(Fraction(1, 2), 2, q)
+        assert fp.moment((1,) * q) == free_poisson_moment(Fraction(1, 2), 2, q)
     e12 = ratmat.matrix_unit(2, 1, 2)
     e21 = ratmat.matrix_unit(2, 2, 1)
-    word = (TracialLetter(1, e12), TracialLetter(1, e21), TracialLetter(1, e12))
-    assert fp.moment(word) == ratmat.product_trace((e12, e21, e12))
+    assert fp.moment((e12, e21, e12)) == ratmat.product_trace((e12, e21, e12))
 
 
 def test_unit_letters_are_dropped():
-    fp = make_pair()
-    a = TracialLetter(0, 1)
-    x = TracialLetter(1, ratmat.matrix_unit(2, 1, 1))
-    unit_m = TracialLetter(1, ratmat.identity(2))
-    unit_p = TracialLetter(0, 0)
-    assert fp.moment((a, unit_m, x, unit_p, a, x)) == fp.moment((a, x, a, x))
-    assert fp.moment((unit_m, unit_p)) == 1
+    fp = FreeProduct(2)
+    unit_m = ratmat.identity(2)
+    assert fp.moment((1, unit_m, E11, 0, 1, E11)) == fp.moment((1, E11, 1, E11))
+    assert fp.moment((unit_m, 0)) == 1
     assert fp.moment(()) == 1
+    # a merge that yields the unit exposes a new adjacency
+    flip = ratmat.cyclic_permutation(2)
+    assert fp._normalize((1, flip, flip, 2, E11)) == (3, E11)
 
 
 def test_alternating_words_match_classical_factorizations():
     n = 2
-    fp = make_pair(n)
-    poisson = FreePoissonOracle(Fraction(1, n), n)
-    mat = MatrixTraceOracle(n)
-    mats = [ratmat.matrix_unit(2, 1, 1),
+    fp = FreeProduct(n)
+    mats = [E11,
             ratmat.mat_add(ratmat.matrix_unit(2, 1, 2), ratmat.matrix_unit(2, 2, 1)),
             ratmat.matrix([[1, "1/2"], [0, -1]])]
-    for k1, k2 in [(1, 1), (1, 2), (2, 3)]:
-        a = TracialLetter(0, k1)
-        b = TracialLetter(0, k2)
-        t_a = poisson.trace((k1,))
-        t_b = poisson.trace((k2,))
-        t_ab = poisson.trace((k1, k2))
-        for mx, my in itertools.product(mats, repeat=2):
-            x = TracialLetter(1, mx)
-            y = TracialLetter(1, my)
-            t_x = mat.trace((mx,))
-            t_y = mat.trace((my,))
-            t_xy = mat.trace((mx, my))
+
+    def power_trace(k):
+        return free_poisson_moment(Fraction(1, n), n, k)
+
+    for a, b in [(1, 1), (1, 2), (2, 3)]:
+        t_a = power_trace(a)
+        t_b = power_trace(b)
+        t_ab = power_trace(a + b)
+        for x, y in itertools.product(mats, repeat=2):
+            t_x = ratmat.product_trace((x,))
+            t_y = ratmat.product_trace((y,))
+            t_xy = ratmat.product_trace((x, y))
             # tau(a x) = tau(a) tau(x)
             assert fp.moment((a, x)) == t_a * t_x
             # tau(a x b) = tau(ab) tau(x)
@@ -165,11 +152,9 @@ def test_alternating_words_match_classical_factorizations():
 
 
 def test_moment_is_tracial_on_mixed_words():
-    fp = make_pair()
-    letters = [TracialLetter(0, 1), TracialLetter(0, 2),
-               TracialLetter(1, ratmat.matrix_unit(2, 1, 1)),
-               TracialLetter(1, ratmat.matrix_unit(2, 1, 2)),
-               TracialLetter(1, ratmat.cyclic_permutation(2))]
+    fp = FreeProduct(2)
+    letters = [1, 2, E11, ratmat.matrix_unit(2, 1, 2),
+               ratmat.cyclic_permutation(2)]
     rng = random.Random(5)
     for _ in range(30):
         q = rng.randint(2, 6)
@@ -180,12 +165,13 @@ def test_moment_is_tracial_on_mixed_words():
 
 
 def test_word_cap_and_config_errors():
-    fp = make_pair()
-    a = TracialLetter(0, 1)
+    fp = FreeProduct(2)
     with pytest.raises(SizeLimitError):
-        fp.moment((a,) * 11)
-    with pytest.raises(ConfigError):
-        fp.moment((TracialLetter(7, 1),))
+        fp.moment((1,) * 11)
+    # a letter is a power of Z or an n-by-n matrix, nothing else
+    for bad in ("Z", 1.0, None, ((1, 0), (0, 1), (0, 0))):
+        with pytest.raises(ConfigError):
+            fp.moment((bad,))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +179,8 @@ def test_word_cap_and_config_errors():
 
 
 def test_cumulants_of_a_single_generator_recover_the_family():
-    fp = make_pair()
-    a = TracialLetter(0, 1)
+    fp = FreeProduct(2)
+    a = 1
     for q in range(1, 7):
         got = mixed_cumulant((a,) * q, fp.moment)
         assert got == free_poisson_cumulant(Fraction(1, 2), 2, q)
@@ -203,17 +189,15 @@ def test_cumulants_of_a_single_generator_recover_the_family():
 
 
 def test_mixed_cumulants_of_a_free_pair_vanish():
-    fp = make_pair()
-    a = TracialLetter(0, 1)
-    x = TracialLetter(1, ratmat.matrix_unit(2, 1, 1))
+    fp = FreeProduct(2)
+    a, x = 1, E11
     for word in [(a, x), (x, a), (a, a, x), (a, x, a), (a, x, x), (a, x, a, x)]:
         assert mixed_cumulant(word, fp.moment) == 0
 
 
 def test_freeness_check_certifies_a_free_pair():
-    fp = make_pair()
-    a = TracialLetter(0, 1)
-    x = TracialLetter(1, ratmat.matrix_unit(2, 1, 1))
+    fp = FreeProduct(2)
+    a, x = 1, E11
     report = freeness_check([[a], [x]], 4, fp.moment)
     assert report.certified
     assert not report.violations
@@ -235,9 +219,8 @@ def test_freeness_check_flags_a_dependent_pair():
 
 def test_freeness_check_reports_truncation(monkeypatch):
     monkeypatch.setattr(freeprob, "WORD_LIMIT", 3)
-    fp = make_pair()
-    a = TracialLetter(0, 1)
-    x = TracialLetter(1, ratmat.matrix_unit(2, 1, 1))
+    fp = FreeProduct(2)
+    a, x = 1, E11
     report = freeness_check([[a], [x]], 12, fp.moment)
     assert report.truncated
     assert not report.certified
@@ -247,9 +230,8 @@ def test_freeness_check_reports_truncation(monkeypatch):
 
 def test_freeness_check_refuses_a_vacuous_sweep():
     # below q = 2 no tuple mixes two sets, so a certificate would be empty
-    fp = make_pair()
-    a = TracialLetter(0, 1)
-    x = TracialLetter(1, ratmat.matrix_unit(2, 1, 1))
+    fp = FreeProduct(2)
+    a, x = 1, E11
     for max_q in (1, 0, -1):
         with pytest.raises(ArityError):
             freeness_check([[a], [x]], max_q, fp.moment)

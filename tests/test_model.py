@@ -18,7 +18,7 @@ from ncfree.errors import (
     SizeLimitError,
 )
 from ncfree.freeprob import (
-    TracialLetter,
+    FreeProduct,
     free_poisson_cumulant,
     free_poisson_moment,
 )
@@ -27,7 +27,6 @@ from ncfree.model import (
     ModelParams,
     PiTermBreakdown,
     Z,
-    as_free_product_word,
     centering_moment,
     dim_box,
     floating_loops,
@@ -328,9 +327,13 @@ def test_tilde_kappa_ground_mismatch():
 # centering route
 
 
-def test_as_free_product_word():
-    got = as_free_product_word((Z, E11))
-    assert got == (TracialLetter(0, 1), TracialLetter(1, E11.matrix))
+def test_centering_moment_maps_letters_to_payloads():
+    # Z becomes the power 1 and a matrix letter its matrix
+    word = (Z, E11, Z, Z, FLIP)
+    expected = FreeProduct(2).moment((1, E11.matrix, 1, 1, FLIP.matrix))
+    assert centering_moment(word, P2) == expected
+    with pytest.raises(ConfigError):
+        centering_moment((Z, matrix_letter(ratmat.identity(3))), P2)
 
 
 def test_centering_route_matches_factorization():

@@ -228,6 +228,23 @@ def test_mobius_pairs_product_over_blocks():
     assert ncpart.mobius(pi, sigma) == whole3 ** 2
 
 
+def test_mobius_refuses_a_block_above_the_enumeration_limit():
+    k = ncpart.ENUMERATION_LIMIT + 1
+    g = tuple(range(1, k + 1))
+    with pytest.raises(SizeLimitError):
+        ncpart.mobius(NonCrossingPartition.singletons(g),
+                      NonCrossingPartition.whole(g))
+    # a coarse pi does not help: the sum runs over NC of sigma's block
+    with pytest.raises(SizeLimitError):
+        ncpart.mobius(NonCrossingPartition(g, [g[:-1], g[-1:]]),
+                      NonCrossingPartition.whole(g))
+    # the limit applies per block of sigma, not to the ground
+    g = tuple(range(1, 2 * 9 + 1))
+    sigma = NonCrossingPartition(g, [g[:9], g[9:]])
+    assert ncpart.mobius(NonCrossingPartition.singletons(g), sigma) == \
+        ncpart.catalan(8) ** 2
+
+
 # ---------------------------------------------------------------------------
 # Kreweras complement
 
