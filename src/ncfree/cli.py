@@ -13,7 +13,9 @@ as ``1/2``.  Partitions are written as brace-wrapped blocks: ``{2,8,11}{5}``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,6 +34,11 @@ def _doc(op: str, params: dict, result, provenance: str) -> dict:
             "provenance": provenance, "version": __version__}
 
 
+def _digit_limit_error() -> SizeLimitError:
+    return SizeLimitError(f"exact result above Python's limit of "
+                          f"{sys.get_int_max_str_digits()} digits per integer")
+
+
 def _exact(value) -> str:
     """Text of an exact result: an int, a Fraction, or a factor description.
 
@@ -41,9 +48,14 @@ def _exact(value) -> str:
     try:
         return value.display() if hasattr(value, "display") else str(value)
     except ValueError as exc:
-        raise SizeLimitError(
-            f"exact result above Python's limit of "
-            f"{sys.get_int_max_str_digits()} digits per integer") from exc
+        raise _digit_limit_error() from exc
+
+
+def _refuse_power_past_digit_limit(n: int, exponent: int) -> None:
+    # refuse a result of at least n**exponent before computing it, where
+    # _exact would refuse it after; n is a validated model size
+    if exponent * math.log10(n) > (sys.get_int_max_str_digits() or math.inf):
+        raise _digit_limit_error()
 
 
 # ---------------------------------------------------------------------------
@@ -127,34 +139,18 @@ def _cmd_nc_pitilde(args) -> tuple[dict, int]:
 # cumulants subcommands
 
 
-def _cmd_cumulants_from_moments(args) -> tuple[dict, int]:
-    moments = _parse_rational_list(args.moments)
+def _cmd_cumulants(cmd: str, option: str, pad: int, transform,
+                   args) -> tuple[dict, int]:
+    # the list given as --<option> is the functional on words of length
+    # 1, 2, ...; pad is its value on the empty word
+    values = _parse_rational_list(getattr(args, option))
     # refuse an oversized list before the smaller transforms run
-    ncpart._check_cap(len(moments))
-    table = [Fraction(1)] + moments
-
-    def phi(word: tuple) -> Fraction:
-        return table[len(word)]
-
-    out = [ncpart.moments_to_cumulants(phi, ("x",) * q)
-           for q in range(1, len(moments) + 1)]
-    params = {"moments": [str(v) for v in moments]}
-    return _doc("cumulants from-moments", params, [_exact(v) for v in out], EXACT), 0
-
-
-def _cmd_cumulants_to_moments(args) -> tuple[dict, int]:
-    cumulants = _parse_rational_list(args.cumulants)
-    # refuse an oversized list before the smaller transforms run
-    ncpart._check_cap(len(cumulants))
-    table = [Fraction(0)] + cumulants
-
-    def kappa(word: tuple) -> Fraction:
-        return table[len(word)]
-
-    out = [ncpart.cumulants_to_moments(kappa, ("x",) * q)
-           for q in range(1, len(cumulants) + 1)]
-    params = {"cumulants": [str(v) for v in cumulants]}
-    return _doc("cumulants to-moments", params, [_exact(v) for v in out], EXACT), 0
+    ncpart._check_cap(len(values))
+    table = [Fraction(pad)] + values
+    out = [transform(lambda word: table[len(word)], ("x",) * q)
+           for q in range(1, len(values) + 1)]
+    params = {option: [str(v) for v in values]}
+    return _doc(f"cumulants {cmd}", params, [_exact(v) for v in out], EXACT), 0
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +183,17 @@ def _cmd_model_pi_term(args) -> tuple[dict, int]:
 
 
 def _cmd_model_z_moment(args) -> tuple[dict, int]:
-    value = model.z_moment(args.m, ModelParams(args.n))
+    params = ModelParams(args.n)
+    _refuse_power_past_digit_limit(args.n, args.m - 1)  # z_moment >= n**(m-1)
+    value = model.z_moment(args.m, params)
     return _doc("model z-moment", {"n": args.n, "m": args.m}, _exact(value),
                 EXACT), 0
 
 
 def _cmd_model_dims(args) -> tuple[dict, int]:
-    value = model.dim_box(args.k, ModelParams(args.n))
+    params = ModelParams(args.n)
+    _refuse_power_past_digit_limit(args.n, args.k - 1)
+    value = model.dim_box(args.k, params)
     return _doc("model dims", {"n": args.n, "k": args.k}, _exact(value), EXACT), 0
 
 
@@ -350,10 +350,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cumsub = cum.add_subparsers(dest="cmd", required=True)
     p = cumsub.add_parser("from-moments", help="moment list to cumulant list")
     p.add_argument("--moments", required=True)
-    p.set_defaults(handler=_cmd_cumulants_from_moments)
+    p.set_defaults(handler=functools.partial(
+        _cmd_cumulants, "from-moments", "moments", 1, ncpart.moments_to_cumulants))
     p = cumsub.add_parser("to-moments", help="cumulant list to moment list")
     p.add_argument("--cumulants", required=True)
-    p.set_defaults(handler=_cmd_cumulants_to_moments)
+    p.set_defaults(handler=functools.partial(
+        _cmd_cumulants, "to-moments", "cumulants", 0, ncpart.cumulants_to_moments))
 
     mdl = sub.add_parser("model", help="coupled moment model")
     mdlsub = mdl.add_subparsers(dest="cmd", required=True)

@@ -42,13 +42,12 @@ def free_poisson_moment(rate, jump, m: int) -> Fraction:
 
     Each partition contributes rate**blocks times jump**m.  Computed by
     enumeration, so it stays a route independent of the Narayana closed
-    form that ``model.z_moment`` uses.
+    form that ``model.z_moment`` uses; m above the enumeration limit fails.
     """
     if m < 0:
         raise ArityError(f"moment order must be >= 0, got {m}")
     if m == 0:
         return Fraction(1)
-    ncpart._check_cap(m)
     rate = Fraction(rate)
     jump = Fraction(jump)
     total = Fraction(0)

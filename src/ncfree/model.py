@@ -16,7 +16,6 @@ acceptance-critical.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -114,16 +113,20 @@ def z_moment(m: int, params: ModelParams) -> Fraction:
     """m-th moment of the generator in closed form, sum_k N(m,k) n**(m-k).
 
     NC(m) has Narayana many, N(m,k) = C(m,k) C(m,k-1) / m, partitions with
-    k blocks, and each weighs n**(m-k).  No size limit applies;
-    ``freeprob.free_poisson_moment`` keeps the enumeration as the oracle.
+    k blocks, and each weighs n**(m-k).  The sum runs by Horner's rule in n,
+    with N(m,1) = 1 and N(m,k+1) = N(m,k) (m-k)(m-k+1) / (k(k+1)).  No size
+    limit applies; ``freeprob.free_poisson_moment`` keeps the enumeration as
+    the oracle.
     """
     if m < 0:
         raise ArityError(f"moment order must be >= 0, got {m}")
     if m == 0:
         return Fraction(1)
-    n = params.n
-    return Fraction(sum(math.comb(m, k) * math.comb(m, k - 1) // m * n ** (m - k)
-                        for k in range(1, m + 1)))
+    total, narayana = 0, 1
+    for k in range(1, m + 1):
+        total = total * params.n + narayana
+        narayana = narayana * (m - k) * (m - k + 1) // (k * (k + 1))
+    return Fraction(total)
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +155,17 @@ def tau_word(word: Sequence[ModelLetter], params: ModelParams) -> Fraction:
     cumulant weight n**(|D| - |pi|) times the product of normalized traces of
     the matrix letters grouped by the complement partition of the matrix
     positions.  Adjacent matrix letters are not merged beforehand; the
-    grouping handles them.  The empty word has trace 1.  Words with more
-    than ``ncpart.ENUMERATION_LIMIT`` generator letters are refused.
+    grouping handles them.  The empty word has trace 1.  The enumerator of
+    NC(|D|) refuses more than ``ncpart.ENUMERATION_LIMIT`` generator letters.
     """
     word = tuple(word)
-    D, _ = _split_word(word, params)
-    ncpart._check_cap(len(D))
+    _split_word(word, params)
     return _tau(word, params.n)
 
 
 @memo
 def _tau(word: tuple, n: int) -> Fraction:
-    # the partition sum of tau_word on a validated word within the limit
+    # the partition sum of tau_word on a validated word
     D = tuple(i for i, letter in enumerate(word, start=1) if letter.is_z)
     E = tuple(i for i, letter in enumerate(word, start=1) if not letter.is_z)
     if not D:

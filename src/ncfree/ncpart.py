@@ -12,13 +12,13 @@ touches floating point.  Ground sets are strictly increasing tuples of
 positive integers, so partitions of {2,5,8} and of {1,2,3} are distinct
 objects even though they are order isomorphic.
 
-The Mobius function is evaluated through the defining recursion (value 1 on
-trivial intervals, interval sums vanish), memoized on the isomorphism type
-of the interval.  An interval [pi, sigma] factors over the blocks of sigma,
-and within one block it factors again into full lattices NC(t) whose sizes t
-are the block sizes of the Kreweras complement of the restricted partition.
-The closed Catalan form for mu(bottom, top) is deliberately not used here;
-the test suite checks it against this recursion instead.
+The Mobius function enumerates nothing.  An interval [pi, sigma] factors
+over the blocks of sigma, and within one block it factors again into full
+lattices NC(t) whose sizes t are the block sizes of the Kreweras complement
+of the restricted partition.  Each full lattice contributes the closed form
+mu(bottom, top) = (-1)**(t-1) * Cat(t-1) (Kreweras 1972); the test suite
+checks it against the defining recursion.  Every sum over NC(k) goes through
+one enumerator, which refuses k above ``ENUMERATION_LIMIT``.
 """
 from __future__ import annotations
 
@@ -301,6 +301,7 @@ def _cached_partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 def _iter_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All non-crossing partitions of positions 0..k-1, deterministic order."""
+    _check_cap(k)  # on the call, before any iteration
     if k <= _CACHE_LIMIT:
         return iter(_cached_partitions(k))
     return _gen_partitions(tuple(range(k)))
@@ -323,7 +324,6 @@ def enumerate_nc(ground: Iterable[int]) -> list[NonCrossingPartition]:
     5
     """
     g = as_ground(ground)
-    _check_cap(len(g))
     return [NonCrossingPartition._raw(g, _relabel(b, g)) for b in _iter_partitions(len(g))]
 
 
@@ -390,7 +390,6 @@ def pi_tilde_bruteforce(D: Iterable[int], E: Iterable[int],
     winner, which would contradict the uniqueness of the maximum.
     """
     d, e = _split_validate(D, E, pi)
-    _check_cap(len(e))
     valid = []
     for blocks in _iter_partitions(len(e)):
         rb = _relabel(blocks, e)
@@ -430,37 +429,27 @@ def _kreweras_blocks(pos_blocks: Sequence[tuple[int, ...]],
 # Mobius function
 
 
-@memo
-def _mu_one(s: int) -> int:
-    # mu(bottom, top) on NC(s) through the defining recursion: the interval
-    # sum over [rho, top] vanishes, and for rho above the bottom the value
-    # mu(rho, top) factors into strictly smaller full lattices.
-    if s == 1:
-        return 1
-    total = 0
-    for blocks in _iter_partitions(s):
-        if len(blocks) < s:
-            total += _mu_to_top(blocks, s)
-    return -total
-
-
 def _mu_to_top(pos_blocks: Sequence[tuple[int, ...]], m: int) -> int:
+    # [pi, top] is a product of full lattices NC(|b|), b a block of the
+    # Kreweras complement, and mu(bottom, top) on NC(t) is (-1)**(t-1) Cat(t-1)
     prod = 1
     for b in _kreweras_blocks(pos_blocks, m):
-        prod *= _mu_one(len(b))
+        prod *= (-1) ** (len(b) - 1) * catalan(len(b) - 1)
     return prod
 
 
 def _mobius_positions(pi_blocks: Sequence[tuple[int, ...]],
                       sigma_blocks: Sequence[tuple[int, ...]]) -> int:
-    # interval [pi, sigma] factors over the blocks of sigma
+    # interval [pi, sigma] factors over the blocks of sigma; each block of pi
+    # lies in the block of sigma that holds its first element
+    owner = {x: j for j, V in enumerate(sigma_blocks) for x in V}
+    inner: list[list[tuple[int, ...]]] = [[] for _ in sigma_blocks]
+    for b in pi_blocks:
+        inner[owner[b[0]]].append(b)
     prod = 1
-    for V in sigma_blocks:
+    for V, blocks in zip(sigma_blocks, inner):
         index = {x: i for i, x in enumerate(V)}
-        inner = sorted(
-            (tuple(index[x] for x in b) for b in pi_blocks if b[0] in index),
-            key=lambda b: b[0])
-        prod *= _mu_to_top(inner, len(V))
+        prod *= _mu_to_top([tuple(index[x] for x in b) for b in blocks], len(V))
     return prod
 
 
@@ -468,8 +457,10 @@ def mobius(pi: NonCrossingPartition, sigma: NonCrossingPartition) -> int:
     """Mobius function of the non-crossing partition lattice at (pi, sigma).
 
     Requires pi to refine sigma; raises :class:`MobiusOrderError` otherwise.
-    The interval factors over the blocks of sigma, and each block sums over
-    its own NC lattice, so a block above ``ENUMERATION_LIMIT`` is refused.
+    The interval factors over the blocks of sigma, and each block takes its
+    value from the Kreweras complement in closed form, with no enumeration.
+    That construction costs elements times arcs per block, so a block of
+    sigma above ``ENUMERATION_LIMIT`` is refused.
 
     >>> g = (1, 2, 3)
     >>> mobius(NonCrossingPartition.singletons(g), NonCrossingPartition.whole(g))
@@ -488,7 +479,6 @@ def mobius(pi: NonCrossingPartition, sigma: NonCrossingPartition) -> int:
 def iter_partitions_with_mobius(
         q: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
     """Yield (position blocks, mu(partition, whole)) over NC(q)."""
-    _check_cap(q)
     if q <= _CACHE_LIMIT:
         return iter(_cached_with_mobius(q))
     return ((blocks, _mu_to_top(blocks, q)) for blocks in _iter_partitions(q))
@@ -541,7 +531,6 @@ def cumulants_to_moments(kappa: PartitionFunctional, letters: Sequence) -> Exact
     q = len(letters)
     if q == 0:
         raise ArityError("moment of an empty tuple is undefined")
-    _check_cap(q)
     total: ExactScalar = 0
     for blocks in _iter_partitions(q):
         term: ExactScalar = 1
@@ -563,14 +552,14 @@ def partitioned_forms_check(phi: PartitionFunctional, kappa: PartitionFunctional
     q = len(tau.ground)
     if len(letters) != q:
         raise ArityError(f"{len(letters)} letters for a partition of {q} elements")
-    _check_cap(q)
+    partitions = _iter_partitions(q)
     tau_pos = tau.position_blocks()
     owner = {x: i for i, b in enumerate(tau_pos) for x in b}
     phi_tau = multiplicative_extension(phi, tau, letters)
     kappa_tau = multiplicative_extension(kappa, tau, letters)
     sum_kappa: ExactScalar = 0
     sum_phi: ExactScalar = 0
-    for blocks in _iter_partitions(q):
+    for blocks in partitions:
         if any(len({owner[x] for x in b}) != 1 for b in blocks):
             continue
         kp: ExactScalar = 1

@@ -180,6 +180,14 @@ def test_results_past_the_int_digit_limit_are_usage_errors(capsys):
     # Python refuses to print an int of more than 4300 digits by default
     err = expect_usage_error(capsys, "model", "dims", "--n", "2", "--k", "20000")
     assert "digits" in err and "Traceback" not in err
+    # refused before computing: z_moment(m) >= n**(m-1), and dims is n**(k-1)
+    for argv in (("z-moment", "--n", "2", "--m", "7000"),
+                 ("dims", "--n", "3", "--k", "100000000")):
+        err = expect_usage_error(capsys, "model", *argv)
+        assert "digits" in err and "Traceback" not in err
+    # --n is validated before the digit bound takes its logarithm
+    err = expect_usage_error(capsys, "model", "dims", "--n", "0", "--k", "100000000")
+    assert "n must be" in err
     big = "7" * 3000
     err = expect_usage_error(capsys, "cumulants", "to-moments",
                              "--cumulants", f"{big},{big}")

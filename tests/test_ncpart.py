@@ -4,15 +4,17 @@ The oracles here share no code with the package: set partitions come from a
 first-element recursion, crossings from the four-point definition, counts
 from binomial closed forms, and the Mobius checks from interval sums.
 """
+import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncfree import ncpart
+from ncfree import freeprob, model, ncpart
 from ncfree.errors import (
     ArityError,
     GroundMismatchError,
@@ -92,6 +94,30 @@ def test_enumeration_general_ground_set():
     parts = ncpart.enumerate_nc((2, 5, 9))
     assert len(parts) == 5
     assert all(p.ground == (2, 5, 9) for p in parts)
+
+
+_ABOVE = ncpart.ENUMERATION_LIMIT + 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ncpart.enumerate_nc(range(1, _ABOVE + 1)),
+    lambda: ncpart.pi_tilde_bruteforce(
+        (1,), range(2, _ABOVE + 2), NonCrossingPartition.whole((1,))),
+    lambda: ncpart.iter_partitions_with_mobius(_ABOVE),
+    lambda: ncpart.moments_to_cumulants(lambda w: 1, ("x",) * _ABOVE),
+    lambda: ncpart.cumulants_to_moments(lambda w: 1, ("x",) * _ABOVE),
+    lambda: ncpart.partitioned_forms_check(
+        lambda w: 1, lambda w: 1,
+        NonCrossingPartition.whole(range(1, _ABOVE + 1)), ("x",) * _ABOVE),
+    lambda: freeprob.free_poisson_moment(1, 1, _ABOVE),
+    lambda: model.tau_word((model.Z,) * _ABOVE, model.ModelParams(2)),
+], ids=["enumerate_nc", "pi_tilde_bruteforce", "iter_partitions_with_mobius",
+        "moments_to_cumulants", "cumulants_to_moments",
+        "partitioned_forms_check", "free_poisson_moment", "tau_word"])
+def test_every_sum_over_nc_refuses_a_ground_above_the_limit(call):
+    # the one enumerator refuses, on the call and before any work
+    with pytest.raises(SizeLimitError):
+        call()
 
 
 def test_enumeration_cap():
@@ -176,13 +202,33 @@ def test_refines_matches_bruteforce(q):
 # Mobius function
 
 
+@functools.lru_cache(maxsize=None)
+def mu_bottom_top_by_recursion(q):
+    """mu(bottom, top) on NC(q) from the defining recursion.
+
+    The sum of mu(rho, top) over all rho vanishes, and for rho above the
+    bottom the interval [rho, top] is a product of smaller full lattices,
+    one per block of the Kreweras complement of rho.
+    """
+    if q == 1:
+        return 1
+    total = 0
+    for rho in ncpart.enumerate_nc(range(1, q + 1)):
+        if len(rho) < q:
+            total += math.prod(mu_bottom_top_by_recursion(len(b))
+                               for b in ncpart.kreweras_complement(rho).blocks)
+    return -total
+
+
 def test_mobius_closed_form_bottom_to_top():
-    for q in range(1, 10):
+    for q in range(1, ncpart.ENUMERATION_LIMIT + 1):
         g = tuple(range(1, q + 1))
         bottom = NonCrossingPartition.singletons(g)
         top = NonCrossingPartition.whole(g)
         signed_catalan = (-1) ** (q - 1) * math.comb(2 * (q - 1), q - 1) // q
         assert ncpart.mobius(bottom, top) == signed_catalan
+        if q <= 10:
+            assert mu_bottom_top_by_recursion(q) == signed_catalan
 
 
 @pytest.mark.parametrize("q", range(1, 6))
@@ -243,6 +289,17 @@ def test_mobius_refuses_a_block_above_the_enumeration_limit():
     sigma = NonCrossingPartition(g, [g[:9], g[9:]])
     assert ncpart.mobius(NonCrossingPartition.singletons(g), sigma) == \
         ncpart.catalan(8) ** 2
+
+
+def test_mobius_on_many_small_blocks_is_fast():
+    # the interval factors over sigma's blocks in one pass over pi's blocks
+    g = tuple(range(1, 20001))
+    singletons = NonCrossingPartition.singletons(g)
+    pairs = NonCrossingPartition(g, [g[i:i + 2] for i in range(0, len(g), 2)])
+    start = time.perf_counter()
+    assert ncpart.mobius(singletons, singletons) == 1
+    assert ncpart.mobius(singletons, pairs) == (-1) ** 10000
+    assert time.perf_counter() - start < 2
 
 
 # ---------------------------------------------------------------------------
