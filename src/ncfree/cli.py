@@ -28,6 +28,10 @@ from .model import ModelParams
 EXACT = "exact"
 MONTECARLO = "montecarlo"
 
+# nc enum holds and prints all of NC(q): q=14 peaks at 1.9 GB resident on an
+# 8 GB two-core machine, and q=15 would need about 7 GB
+NC_ENUM_LIMIT = 14
+
 
 def _doc(op: str, params: dict, result, provenance: str) -> dict:
     return {"op": op, "params": params, "result": result,
@@ -111,6 +115,8 @@ def _parse_rational_list(text: str) -> list[Fraction]:
 def _cmd_nc_enum(args) -> tuple[dict, int]:
     if args.q < 0:
         raise ArityError(f"--q must be >= 0, got {args.q}")
+    if args.q > NC_ENUM_LIMIT:
+        raise SizeLimitError(f"nc enum lists at most NC({NC_ENUM_LIMIT}), got --q {args.q}")
     parts = ncpart.enumerate_nc(range(1, args.q + 1))
     result = {"count": len(parts), "partitions": [str(p) for p in parts]}
     return _doc("nc enum", {"q": args.q}, result, EXACT), 0

@@ -18,7 +18,7 @@ lattices NC(t) whose sizes t are the block sizes of the Kreweras complement
 of the restricted partition.  Each full lattice contributes the closed form
 mu(bottom, top) = (-1)**(t-1) * Cat(t-1) (Kreweras 1972); the test suite
 checks it against the defining recursion.  Every sum over NC(k) goes through
-one enumerator, which refuses k above ``ENUMERATION_LIMIT``.
+one open-block stack walk, which refuses k above ``ENUMERATION_LIMIT``.
 """
 from __future__ import annotations
 
@@ -269,34 +269,33 @@ def refines(rho: NonCrossingPartition, pi: NonCrossingPartition) -> bool:
 # enumeration
 
 
-def _gen_partitions(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # Recursive gap decomposition: choose the block of the first element,
-    # then partition each gap between its consecutive members independently.
-    # Every non-crossing partition arises exactly once this way.
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-    for size in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, size):
-            block = (first,) + combo
-            cset = set(combo)
-            segments: list[list[int]] = [[] for _ in range(size + 1)]
-            for e in rest:
-                if e not in cset:
-                    segments[bisect.bisect_left(block, e) - 1].append(e)
-            pools = [tuple(_gen_partitions(tuple(s))) for s in segments]
-            for choice in itertools.product(*pools):
-                blocks = [block]
-                for part in choice:
-                    blocks.extend(part)
-                blocks.sort(key=lambda b: b[0])
-                yield tuple(blocks)
+def _gen_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    # One walk over 0..k-1 with a stack of open blocks (Nica and Speicher,
+    # Lecture 9): element i opens a block, or joins an open one and closes
+    # those opened after it, which a later element would cross.  Blocks come
+    # out ordered by minima; a grown block + (i,) is restored on backtrack,
+    # so partitions that share a block share its tuple.
+    blocks: list[tuple[int, ...]] = []
+
+    def walk(i: int, open_: tuple[int, ...]):
+        if i == k:
+            yield tuple(blocks)
+            return
+        blocks.append((i,))
+        yield from walk(i + 1, open_ + (len(blocks) - 1,))
+        blocks.pop()
+        for depth, b in enumerate(open_):
+            grown = blocks[b]
+            blocks[b] = grown + (i,)
+            yield from walk(i + 1, open_[:depth + 1])
+            blocks[b] = grown
+
+    return walk(0, ())
 
 
 @memo
 def _cached_partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return tuple(_gen_partitions(tuple(range(k))))
+    return tuple(_gen_partitions(k))
 
 
 def _iter_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -304,7 +303,7 @@ def _iter_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     _check_cap(k)  # on the call, before any iteration
     if k <= _CACHE_LIMIT:
         return iter(_cached_partitions(k))
-    return _gen_partitions(tuple(range(k)))
+    return _gen_partitions(k)
 
 
 def _relabel(blocks: tuple[tuple[int, ...], ...],
@@ -315,10 +314,10 @@ def _relabel(blocks: tuple[tuple[int, ...], ...],
 def enumerate_nc(ground: Iterable[int]) -> list[NonCrossingPartition]:
     """All non-crossing partitions of the ground set, in a fixed order.
 
-    The order is deterministic: it follows the choice of the block containing
-    the smallest element (by size, then lexicographically) and recurses into
-    the gaps.  Refuses ground sets larger than ``ENUMERATION_LIMIT`` (16)
-    because the count grows like the Catalan numbers.
+    The order is deterministic: each element in turn opens a new block, then
+    joins each open block, earliest opened first; the singletons come first,
+    the whole ground last.  Refuses ground sets larger than
+    ``ENUMERATION_LIMIT`` (16), since the count grows like Catalan numbers.
 
     >>> len(enumerate_nc((1, 2, 3)))
     5

@@ -31,11 +31,13 @@ diagonal Gram blocks G_ii, and the word traces and the spectrum of the same
 (config, trial) share them: the words form only the off-diagonal blocks,
 and the spectrum only sums the diagonal ones.  The draw is memoised with a
 bound of one entry, so at most one trial's X and its n diagonal blocks
-outlive a call (8 MB at n=2, N=1000).  Both consumers compute from the
-memoised arrays in the same way whether the entry was cached or not, so no
-result depends on the cache or on call order.  Per-trial randomness comes
-from independent streams seeded by (seed, trial), which makes every
-estimate reproducible and safely parallelizable.
+outlive a call (8 MB at n=2, N=1000);
+:meth:`FreePairSampler.spectra_and_words` hands each draw to both at once.
+Both consumers compute from the memoised arrays in the same way whether the
+entry was cached or not, so no result depends on the cache or on call
+order.  Per-trial randomness comes from independent streams seeded by
+(seed, trial), which makes every estimate reproducible and safely
+parallelizable.
 
 This is the only module in the package that touches floating point.  numpy
 loads with it; scipy is needed only by :func:`mp_continuous_mass`, which
@@ -164,17 +166,17 @@ def sample_free_poisson(config: SimulationConfig, *, threads: int = 1) -> np.nda
     word traces just made reuses it; the sum is formed the same way either
     way, so the samples do not depend on the cache.
     """
+    return np.stack(_parallel(
+        lambda t: _spectrum(config, _trial_draw(config, t)[1]),
+        config.trials, threads))
+
+
+def _spectrum(config: SimulationConfig, diag) -> np.ndarray:
+    """One trial's ascending spectrum from its diagonal Gram blocks G_ii."""
     N = config.N
-    M = config.gaussian_columns
-    scale = config.jump / N
-
-    def one(trial: int) -> np.ndarray:
-        _, diag = _trial_draw(config, trial)
-        # eigvalsh returns ascending eigenvalues
-        gram_spectrum = np.linalg.eigvalsh(sum(diag[1:], diag[0]))
-        return np.concatenate([np.zeros(N - M), scale * gram_spectrum])
-
-    return np.stack(_parallel(one, config.trials, threads))
+    gram_spectrum = np.linalg.eigvalsh(sum(diag[1:], diag[0]))
+    return np.concatenate([np.zeros(N - config.gaussian_columns),
+                           config.jump / N * gram_spectrum])
 
 
 def atom_mass_estimate(eigenvalues: np.ndarray, config: SimulationConfig) -> float:
@@ -305,10 +307,11 @@ class FreePairSampler:
     """Joint sampler for the Wishart generator and embedded matrix letters.
 
     Build once per configuration and batch words through
-    :meth:`estimate_words`.  A trial takes X's row blocks and the diagonal
-    Gram blocks G_ii from :func:`_trial_draw` and forms only the
-    off-diagonal G_ij; the spectrum of the same trial, eigvalsh of
-    sum_i G_ii in :func:`sample_free_poisson`, reuses that draw.  The words
+    :meth:`estimate_words`, or through :meth:`spectra_and_words` with the
+    spectra.  A trial takes X's row blocks and the diagonal Gram blocks
+    G_ii from :func:`_trial_draw` and forms only the off-diagonal G_ij; the
+    spectrum of the same trial, eigvalsh of sum_i G_ii in
+    :func:`sample_free_poisson`, reuses that draw.  The words
     of the batch share each W(c) and each head product
     W(c_1) ... W(c_{k-1}) within the trial, and nothing is shared between
     trials.  A trial holds at most (longest plan - 1) head products at
@@ -321,8 +324,8 @@ class FreePairSampler:
     def __init__(self, config: SimulationConfig):
         self.config = config
 
-    def _trial_values(self, trial: int, plans) -> list[float]:
-        """Traces of the mixed plans in one trial.
+    def _trial_values(self, rows, diag, plans) -> list[float]:
+        """Traces of the mixed plans in one trial, from its draw.
 
         The plans are visited sorted by head, so those sharing a head
         prefix are adjacent.  ``heads[d]`` holds W(c_1) ... W(c_{d+1}) of the
@@ -331,7 +334,6 @@ class FreePairSampler:
         """
         cfg = self.config
         n, N = cfg.n, cfg.N
-        rows, diag = _trial_draw(cfg, trial)
         gram = {}
         for i in range(n):
             for j in range(i, n):
@@ -367,14 +369,35 @@ class FreePairSampler:
 
     def estimate_words(self, words: Sequence[Sequence[ModelLetter]], *,
                        threads: int = 1) -> list[MomentEstimate]:
+        return self._walk(words, threads, spectra=False)[1]
+
+    def spectra_and_words(self, words: Sequence[Sequence[ModelLetter]], *,
+                          threads: int = 1) -> tuple[np.ndarray, list[MomentEstimate]]:
+        """``(sample_free_poisson(config), estimate_words(words))`` in one walk.
+
+        Each trial reads its draw once and hands the same arrays to its
+        spectrum and its word traces, so the pair equals the two separate
+        calls bit for bit at any thread count.
+        """
+        return self._walk(words, threads, spectra=True)
+
+    def _walk(self, words, threads: int, spectra: bool):
         cfg = self.config
         T = cfg.trials
         plans = [_word_plan(w, cfg.n) for w in words]
         mixed = list(dict.fromkeys(p for p in plans if isinstance(p, tuple)))
         column = {p: j for j, p in enumerate(mixed)}
-        if mixed:
-            values = np.array(_parallel(
-                lambda t: self._trial_values(t, mixed), T, threads))
+
+        def one(trial: int):
+            rows, diag = _trial_draw(cfg, trial)
+            return (_spectrum(cfg, diag) if spectra else None,
+                    self._trial_values(rows, diag, mixed) if mixed else [])
+
+        # matrix-only words need no draw when no spectrum is asked for
+        eigs = values = ()
+        if spectra or mixed:
+            eigs, values = zip(*_parallel(one, T, threads))
+        values = np.array(values)
         out = []
         for p in plans:
             if not isinstance(p, tuple):
@@ -386,7 +409,7 @@ class FreePairSampler:
                 out.append(MomentEstimate(float(col.mean()), se, T, True))
             else:
                 out.append(MomentEstimate(float(col.mean()), 0.0, T, False))
-        return out
+        return (np.stack(eigs) if spectra else None), out
 
     def estimate(self, word: Sequence[ModelLetter], *,
                  threads: int = 1) -> MomentEstimate:

@@ -51,38 +51,19 @@ def _finish(name: str, problems: list, summary: str, t0: float) -> CheckResult:
     return CheckResult(name, True, f"{summary} [{elapsed:.1f}s]")
 
 
-class _RandomFunctional:
+def _random_functional(rng: random.Random):
     """Deterministic random rational value per distinct letter tuple."""
-
-    def __init__(self, rng: random.Random):
-        self._rng = rng
-        self._memo: dict = {}
-
-    def __call__(self, word) -> Fraction:
-        word = tuple(word)
-        v = self._memo.get(word)
-        if v is None:
-            v = Fraction(self._rng.randint(-60, 60), self._rng.randint(1, 24))
-            self._memo[word] = v
-        return v
+    return functools.cache(
+        lambda w: Fraction(rng.randint(-60, 60), rng.randint(1, 24)))
 
 
-def _letters_n2() -> list[model.ModelLetter]:
-    return [Z,
-            matrix_letter(ratmat.matrix_unit(2, 1, 1)),
-            matrix_letter(ratmat.matrix_unit(2, 1, 2)),
-            matrix_letter(ratmat.matrix_unit(2, 2, 1)),
-            matrix_letter(ratmat.matrix_unit(2, 2, 2)),
-            matrix_letter(ratmat.cyclic_permutation(2))]
+def _letters(n: int, units) -> list[model.ModelLetter]:
+    """Z, the matrix units E_ij at the given (i, j), the cyclic permutation."""
+    return ([Z] + [matrix_letter(ratmat.matrix_unit(n, i, j)) for i, j in units]
+            + [matrix_letter(ratmat.cyclic_permutation(n))])
 
 
-def _letters_n3() -> list[model.ModelLetter]:
-    return [Z,
-            matrix_letter(ratmat.matrix_unit(3, 1, 1)),
-            matrix_letter(ratmat.matrix_unit(3, 1, 2)),
-            matrix_letter(ratmat.matrix_unit(3, 2, 1)),
-            matrix_letter(ratmat.matrix_unit(3, 3, 3)),
-            matrix_letter(ratmat.cyclic_permutation(3))]
+_LETTERS_N2 = _letters(2, ((1, 1), (1, 2), (2, 1), (2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +117,7 @@ def check_moment_cumulant_transforms(quick: bool = False) -> CheckResult:
     roundtrips = 0
     for trial in range(functionals):
         letters_full = base if trial % 2 else ("a",) * 8
-        given = _RandomFunctional(rng)
+        given = _random_functional(rng)
         if trial % 4 < 2:
             # treat the randoms as moments, derive cumulants, map back
             derived = functools.cache(lambda w: ncpart.moments_to_cumulants(given, w))
@@ -152,7 +133,7 @@ def check_moment_cumulant_transforms(quick: bool = False) -> CheckResult:
                 break
     forms = 0
     for trial in range(forms_functionals):
-        phi = _RandomFunctional(rng)
+        phi = _random_functional(rng)
         kappa = functools.cache(lambda w: ncpart.moments_to_cumulants(phi, w))
         for q in range(1, forms_q + 1):
             letters = base[:q]
@@ -169,10 +150,11 @@ def check_moment_cumulant_transforms(quick: bool = False) -> CheckResult:
 # 3. complement on the unmarked positions, two routes
 
 
-_FROZEN_SPLIT_Q = 18
-_FROZEN_SPLIT_D = (2, 5, 8, 11, 13, 14, 17)
-_FROZEN_SPLIT_PI = ((2, 8, 11), (5,), (13, 14, 17))
-_FROZEN_SPLIT_COMP = ((1, 12, 18), (3, 4, 6, 7), (9, 10), (15, 16))
+# a split of 1..18 into marked D and unmarked E, with a partition pi of D
+_FROZEN_D = (2, 5, 8, 11, 13, 14, 17)
+_FROZEN_E = tuple(i for i in range(1, 19) if i not in _FROZEN_D)
+_FROZEN_PI = ncpart.NonCrossingPartition(_FROZEN_D, [(2, 8, 11), (5,), (13, 14, 17)])
+_FROZEN_COMP = ((1, 12, 18), (3, 4, 6, 7), (9, 10), (15, 16))
 
 
 def _all_splits(q: int):
@@ -193,8 +175,7 @@ def check_complement_dual_route(quick: bool = False) -> CheckResult:
     checked = 0
     for q in range(1, hi + 1):
         for D, E in _all_splits(q):
-            for blocks in ncpart._iter_partitions(len(D)):
-                pi = ncpart.NonCrossingPartition._raw(D, ncpart._relabel(blocks, D))
+            for pi in ncpart.enumerate_nc(D):
                 checked += 1
                 direct = ncpart.pi_tilde(D, E, pi)
                 brute = ncpart.pi_tilde_bruteforce(D, E, pi)
@@ -214,13 +195,10 @@ def check_complement_dual_route(quick: bool = False) -> CheckResult:
         checked += 1
         if ncpart.pi_tilde(D, E, pi) != ncpart.pi_tilde_bruteforce(D, E, pi):
             problems.append(f"routes disagree at sampled q={q}, D={D}, pi={pi}")
-    D = _FROZEN_SPLIT_D
-    E = tuple(i for i in range(1, _FROZEN_SPLIT_Q + 1) if i not in D)
-    pi = ncpart.NonCrossingPartition(D, _FROZEN_SPLIT_PI)
-    comp = ncpart.pi_tilde(D, E, pi)
-    if comp.blocks != _FROZEN_SPLIT_COMP:
+    comp = ncpart.pi_tilde(_FROZEN_D, _FROZEN_E, _FROZEN_PI)
+    if comp.blocks != _FROZEN_COMP:
         problems.append(f"frozen q=18 instance gave {comp}")
-    if ncpart.pi_tilde_bruteforce(D, E, pi).blocks != _FROZEN_SPLIT_COMP:
+    if ncpart.pi_tilde_bruteforce(_FROZEN_D, _FROZEN_E, _FROZEN_PI).blocks != _FROZEN_COMP:
         problems.append("frozen q=18 instance: oracle route disagrees")
     return _finish("complement-dual-route", problems,
                    f"{checked} instances (exhaustive q<={hi}, sampled q<={sample_q}), "
@@ -282,17 +260,16 @@ def check_word_trace_dual_route(quick: bool = False) -> CheckResult:
     sampled = 100 if quick else 1000
     problems: list[str] = []
     p2 = ModelParams(2)
-    letters2 = _letters_n2()
     words = 0
     for q in range(1, max_len + 1):
-        for word in itertools.product(letters2, repeat=q):
+        for word in itertools.product(_LETTERS_N2, repeat=q):
             words += 1
             if model.tau_word(word, p2) != model.centering_moment(word, p2):
                 problems.append(f"routes disagree at n=2 on {_word_label(word)}")
                 if len(problems) > 5:
                     return _finish("word-trace-dual-route", problems, "", t0)
     p3 = ModelParams(3)
-    letters3 = _letters_n3()
+    letters3 = _letters(3, ((1, 1), (1, 2), (2, 1), (3, 3)))
     rng = random.Random(VERIFY_SEED + 5)
     for _ in range(sampled):
         q = rng.randint(1, max_len)
@@ -313,11 +290,8 @@ def check_mixed_cumulants_vanish(quick: bool = False) -> CheckResult:
     """Every cumulant tuple mixing the generator with matrix letters is zero."""
     t0 = time.perf_counter()
     problems: list[str] = []
-    runs = [(2, _letters_n2()[1:5], 4 if quick else 6),
-            (3, [matrix_letter(ratmat.matrix_unit(3, 1, 1)),
-                 matrix_letter(ratmat.matrix_unit(3, 1, 2)),
-                 matrix_letter(ratmat.matrix_unit(3, 2, 3)),
-                 matrix_letter(ratmat.matrix_unit(3, 3, 1))],
+    runs = [(2, _LETTERS_N2[1:-1], 4 if quick else 6),
+            (3, _letters(3, ((1, 1), (1, 2), (2, 3), (3, 1)))[1:-1],
              3 if quick else 6)]
     checked = 0
     for n, mats, max_q in runs:
@@ -353,31 +327,25 @@ def check_loop_bookkeeping(quick: bool = False) -> CheckResult:
     checked = 0
     for q in range(1, hi + 1):
         for D, E in _all_splits(q):
-            for blocks in ncpart._iter_partitions(len(D)):
-                pi = ncpart.NonCrossingPartition._raw(D, ncpart._relabel(blocks, D))
+            for pi in ncpart.enumerate_nc(D):
                 loops = model.floating_loops(D, E, pi)
                 checked += 1
                 if loops < 0:
                     problems.append(f"bad loop count {loops} at q={q}, D={D}, pi={pi}")
-    D = _FROZEN_SPLIT_D
-    E = tuple(i for i in range(1, _FROZEN_SPLIT_Q + 1) if i not in D)
-    pi = ncpart.NonCrossingPartition(D, _FROZEN_SPLIT_PI)
-    if model.floating_loops(D, E, pi) != 2:
-        problems.append(
-            f"frozen q=18 instance has {model.floating_loops(D, E, pi)} loops, "
-            f"expected 2")
+    loops = model.floating_loops(_FROZEN_D, _FROZEN_E, _FROZEN_PI)
+    if loops != 2:
+        problems.append(f"frozen q=18 instance has {loops} loops, expected 2")
     p2 = ModelParams(2)
     e11 = matrix_letter(ratmat.matrix_unit(2, 1, 1))
-    word18 = tuple(Z if i in D else e11 for i in range(1, 19))
-    breakdown = model.pi_term(word18, pi, p2)
-    if breakdown.loop_count != 2 or breakdown.pi_tilde.blocks != _FROZEN_SPLIT_COMP:
+    word18 = tuple(Z if i in _FROZEN_D else e11 for i in range(1, 19))
+    breakdown = model.pi_term(word18, _FROZEN_PI, p2)
+    if breakdown.loop_count != 2 or breakdown.pi_tilde.blocks != _FROZEN_COMP:
         problems.append("frozen q=18 breakdown disagrees")
     rng = random.Random(VERIFY_SEED + 7)
-    letters2 = _letters_n2()
     sum_words = 15 if quick else 40
     for _ in range(sum_words):
         q = rng.randint(1, 8)
-        word = [rng.choice(letters2) for _ in range(q)]
+        word = [rng.choice(_LETTERS_N2) for _ in range(q)]
         word[rng.randrange(q)] = Z
         word = tuple(word)
         D2, _ = model._split_word(word, p2)
@@ -442,7 +410,8 @@ def check_factor_parameters(quick: bool = False) -> CheckResult:
 def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
     """Wishart spectra and mixed word estimates against the exact engine.
 
-    A mixed word of q letters with exact limit tau passes when its estimate
+    The spectra and the words come from one walk over the trials, so each
+    trial is drawn once.  A mixed word of q letters with exact limit tau passes when its estimate
     lies within t * SE + q**2 / 2 * max(1, |tau|) / N of tau.  t is the
     Student-t quantile on trials - 1 degrees of freedom at the two-sided
     rate MC_FAMILY_RATE / m (Bonferroni over the m mixed words), so over
@@ -454,8 +423,9 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
     must match the squared singular values of X, the independent oracle of
     the Gram route, to 1e-12 of the largest eigenvalue.  Reruns must
     reproduce the spectra and estimates bit for bit across thread counts,
-    and the spectrum taken right after a word batch, from the draw the
-    words memoised, must equal the one drawn cold.
+    the joint walk must equal the two separate calls, and the spectrum
+    taken right after a word batch, from the draw the words memoised, must
+    equal the one drawn cold.
     """
     import numpy as np
     from scipy import stats
@@ -469,8 +439,16 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
         config = rmt.SimulationConfig(n=2, N=2000, trials=50, seed=VERIFY_SEED)
     params = ModelParams(config.n)
     problems: list[str] = []
+    e11 = matrix_letter(ratmat.matrix_unit(2, 1, 1))
+    x = matrix_letter(ratmat.mat_add(ratmat.matrix_unit(2, 1, 2),
+                                     ratmat.matrix_unit(2, 2, 1)))
+    alphabet = [Z, e11, x]
+    # length 4 is the shortest at which a word sees G_ji versus G_ij^T for
+    # this symmetric alphabet, so both depths go that far
+    words = [w for q in range(1, 5) for w in itertools.product(alphabet, repeat=q)]
+    eigs, estimates = rmt.FreePairSampler(config).spectra_and_words(
+        words, threads=threads)
 
-    eigs = rmt.sample_free_poisson(config, threads=threads)
     atom = rmt.atom_mass_estimate(eigs, config)
     target = 1 - 1 / config.n
     if abs(atom - target) > 0.02 * target:
@@ -498,14 +476,6 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
         if np.max(np.abs(row - ref)) > 1e-12 * ref[-1]:
             problems.append(f"trial {trial} spectrum differs from the SVD of X")
 
-    e11 = matrix_letter(ratmat.matrix_unit(2, 1, 1))
-    x = matrix_letter(ratmat.mat_add(ratmat.matrix_unit(2, 1, 2),
-                                     ratmat.matrix_unit(2, 2, 1)))
-    alphabet = [Z, e11, x]
-    # length 4 is the shortest at which a word sees G_ji versus G_ij^T for
-    # this symmetric alphabet, so both depths go that far
-    words = [w for q in range(1, 5) for w in itertools.product(alphabet, repeat=q)]
-    estimates = rmt.FreePairSampler(config).estimate_words(words, threads=threads)
     mixed_count = sum(1 for w in words if any(l.is_z for l in w))
     t_quantile = float(stats.t.isf(MC_FAMILY_RATE / (2 * mixed_count),
                                    config.trials - 1))
@@ -538,6 +508,9 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
     second = rmt.FreePairSampler(rerun).estimate_words(small, threads=2)
     if first != second:
         problems.append("estimates differ between runs or thread counts")
+    joint_eigs, joint = rmt.FreePairSampler(rerun).spectra_and_words(small)
+    if not ((joint_eigs == again).all() and joint == first):
+        problems.append("the joint walk differs from the separate calls")
     # the spectrum right after the words reuses their memoised draw: for two
     # trials under a race between two threads, in full for one trial
     warm = rmt.sample_free_poisson(rerun, threads=2)
@@ -576,14 +549,12 @@ RMT_CHECK = check_monte_carlo
 def run_all(quick: bool = False, include_rmt: bool = False, threads: int = 1,
             log: Optional[Callable[[str], None]] = None) -> list[CheckResult]:
     """Run the acceptance checks in order and return their results."""
-    results = []
-    for fn in EXACT_CHECKS:
-        result = fn(quick=quick)
-        results.append(result)
-        if log is not None:
-            log(f"{'ok  ' if result.ok else 'FAIL'} {result.name}: {result.detail}")
+    checks = [functools.partial(fn, quick=quick) for fn in EXACT_CHECKS]
     if include_rmt:
-        result = RMT_CHECK(quick=quick, threads=threads)
+        checks.append(functools.partial(RMT_CHECK, quick=quick, threads=threads))
+    results = []
+    for check in checks:
+        result = check()
         results.append(result)
         if log is not None:
             log(f"{'ok  ' if result.ok else 'FAIL'} {result.name}: {result.detail}")

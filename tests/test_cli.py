@@ -1,5 +1,6 @@
 """Command line contract: JSON schema, frozen outputs, exit codes."""
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,17 @@ def test_nc_enum_cap_is_a_usage_error(capsys):
         cli.main(["nc", "enum", "--q", "3", "--cap", "40"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("q", ["15", "16"])
+def test_nc_enum_refuses_sizes_it_cannot_hold_before_enumerating(capsys, q):
+    # NC(15) would need about 7 GB once listed as JSON; the library's
+    # enumeration limit (16) still admits it
+    assert int(q) <= ncpart.ENUMERATION_LIMIT
+    t0 = time.perf_counter()
+    err = expect_usage_error(capsys, "nc", "enum", "--q", q)
+    assert time.perf_counter() - t0 < 1.0
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -70,10 +70,29 @@ def refines_bruteforce(rho, pi):
 # enumeration
 
 
-@pytest.mark.parametrize("q", range(1, 8))
+@pytest.mark.parametrize("q", range(1, 10))
 def test_enumeration_matches_bruteforce(q):
     got = {p.blocks for p in ncpart.enumerate_nc(range(1, q + 1))}
     assert got == nc_bruteforce(q)
+
+
+@pytest.mark.parametrize("k", range(0, 14))
+def test_walk_yields_each_canonical_partition_once(k):
+    # k = 13 is past the cached sizes, so the streamed walk is covered too
+    seen = set()
+    for blocks in ncpart._iter_partitions(k):
+        assert all(b == tuple(sorted(b)) for b in blocks)
+        assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+        assert sorted(x for b in blocks for x in b) == list(range(k))
+        seen.add(blocks)
+    assert len(seen) == ncpart.catalan(k)
+
+
+def test_cached_partitions_share_their_block_tuples():
+    # a block that many partitions hold in common is one tuple object, which
+    # keeps the NC(12) table small; a copy per partition would read 1.0
+    blocks = [b for p in ncpart._cached_partitions(12) for b in p]
+    assert len({id(b) for b in blocks}) <= len(blocks) / 3
 
 
 @pytest.mark.parametrize("q", range(1, 10))

@@ -375,6 +375,23 @@ def test_the_draw_cache_cannot_change_a_result(n, alphabet, threads):
         assert words_after == words_first
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_joint_walk_draws_once_and_equals_the_separate_calls(threads):
+    # the spectra and the word traces of one walk read each trial's draw
+    # once and match the two separate calls bit for bit
+    words = sampled_words([Z, E11, SYM, SKEW], range(1, 6), 30, seed=31) + [(E11, SYM)]
+    cfg = SimulationConfig(n=2, N=120, trials=3, seed=59)
+    clear_caches()
+    eigs, estimates = FreePairSampler(cfg).spectra_and_words(words, threads=threads)
+    assert _trial_draw.cache_info().misses == cfg.trials
+    assert np.array_equal(eigs, sample_free_poisson(cfg, threads=threads))
+    assert estimates == FreePairSampler(cfg).estimate_words(words, threads=threads)
+    # a batch with no generator letter still draws for its spectra
+    eigs, estimates = FreePairSampler(cfg).spectra_and_words([(E11, SYM)])
+    assert np.array_equal(eigs, sample_free_poisson(cfg))
+    assert estimates == FreePairSampler(cfg).estimate_words([(E11, SYM)])
+
+
 def test_matrix_only_words_are_exact():
     cfg = SimulationConfig(n=2, N=120, trials=2, seed=1)
     sampler = FreePairSampler(cfg)
