@@ -31,7 +31,6 @@ def main() -> int:
                     help="comma-separated matrix sizes N")
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
@@ -48,8 +47,7 @@ def main() -> int:
         config = SimulationConfig(n=args.n, N=N, trials=args.trials,
                                   seed=args.seed)
         sampler = FreePairSampler(config)
-        ests = sampler.estimate_words(list(words.values()),
-                                      threads=args.threads)
+        ests = sampler.estimate_words(list(words.values()))
         errs = [abs(e.value - exact[name])
                 for name, e in zip(words, ests)]
         print(f"{N:>6} " + " ".join(f"{err:12.2e}" for err in errs))

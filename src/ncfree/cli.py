@@ -21,15 +21,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__, factors, freeprob, model, ncpart, ratmat
-from .errors import (ArityError, ConfigError, GroundMismatchError, NcfreeError,
+from .errors import (ArityError, GroundMismatchError, NcfreeError,
                      OutputError, SizeLimitError, WordSyntaxError)
 from .model import ModelParams
 
 EXACT = "exact"
 MONTECARLO = "montecarlo"
 
-# nc enum holds and prints all of NC(q): q=14 peaks at 1.9 GB resident on an
-# 8 GB two-core machine, and q=15 would need about 7 GB
+# nc enum holds and prints all of NC(q): q=14 peaks at 0.85 GB resident on an
+# 8 GB two-core machine, and q=15 would need about 3 GB (Catalan ratio 3.6)
 NC_ENUM_LIMIT = 14
 
 
@@ -265,7 +265,7 @@ def _rmt_config(args):
 def _cmd_rmt_sample(args) -> tuple[dict, int]:
     from . import rmt
     config = _rmt_config(args)
-    eigs = rmt.sample_free_poisson(config, threads=args.threads)
+    eigs = rmt.sample_free_poisson(config)
     a, b = rmt.mp_support(config.rate, config.jump)
     result = {
         "count": int(eigs.size),
@@ -296,7 +296,7 @@ def _cmd_rmt_estimate(args) -> tuple[dict, int]:
     from . import rmt
     config = _rmt_config(args)
     word = parse_word(args.word)
-    est = rmt.FreePairSampler(config).estimate(word, threads=args.threads)
+    est = rmt.FreePairSampler(config).estimate(word)
     result = {"value": est.value, "std_error": est.std_error,
               "trials": est.trials, "std_error_ok": est.std_error_ok}
     params = {"n": args.n, "N": args.N, "trials": args.trials,
@@ -311,7 +311,7 @@ def _cmd_rmt_estimate(args) -> tuple[dict, int]:
 def _cmd_verify_all(args) -> tuple[dict, int]:
     from . import verify
     results = verify.run_all(
-        quick=args.quick, include_rmt=args.rmt, threads=args.threads,
+        quick=args.quick, include_rmt=args.rmt,
         log=lambda line: print(line, file=sys.stderr, flush=True))
     ok = all(r.ok for r in results)
     result = {"ok": ok,
@@ -332,10 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact non-crossing partition calculus and the coupled "
                     "generator-plus-matrices moment model.")
     sub = parser.add_subparsers(dest="group", required=True)
-
-    def threads_opt(p):
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (default 1)")
 
     nc = sub.add_parser("nc", help="non-crossing partition calculus")
     ncsub = nc.add_subparsers(dest="cmd", required=True)
@@ -413,7 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write eigenvalues to this CSV file")
-    threads_opt(p)
     p.set_defaults(handler=_cmd_rmt_sample)
     p = rmtsub.add_parser("estimate", help="Monte Carlo word trace estimate")
     p.add_argument("--n", type=int, required=True)
@@ -421,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--word", required=True)
-    threads_opt(p)
     p.set_defaults(handler=_cmd_rmt_estimate)
 
     ver = sub.add_parser("verify", help="acceptance checks")
@@ -431,7 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="trimmed ranges, for smoke runs")
     p.add_argument("--rmt", action="store_true",
                    help="include the Monte Carlo criterion")
-    threads_opt(p)
     p.set_defaults(handler=_cmd_verify_all)
 
     return parser
@@ -440,8 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         doc, code = args.handler(args)
     except NcfreeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -306,9 +306,22 @@ def _iter_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     return _gen_partitions(k)
 
 
-def _relabel(blocks: tuple[tuple[int, ...], ...],
-             ground: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(ground[i] for i in b) for b in blocks)
+def _relabel(partitions: Iterable[tuple[tuple[int, ...], ...]],
+             ground: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Each partition's position blocks rewritten as elements of the ground.
+
+    A distinct position block is mapped once per call, so partitions that
+    share a block share its relabelled tuple as well.
+    """
+    mapped: dict = {}
+    for blocks in partitions:
+        out = []
+        for b in blocks:
+            r = mapped.get(b)
+            if r is None:
+                r = mapped[b] = tuple([ground[i] for i in b])
+            out.append(r)
+        yield tuple(out)
 
 
 def enumerate_nc(ground: Iterable[int]) -> list[NonCrossingPartition]:
@@ -323,7 +336,8 @@ def enumerate_nc(ground: Iterable[int]) -> list[NonCrossingPartition]:
     5
     """
     g = as_ground(ground)
-    return [NonCrossingPartition._raw(g, _relabel(b, g)) for b in _iter_partitions(len(g))]
+    return [NonCrossingPartition._raw(g, b)
+            for b in _relabel(_iter_partitions(len(g)), g)]
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +404,7 @@ def pi_tilde_bruteforce(D: Iterable[int], E: Iterable[int],
     """
     d, e = _split_validate(D, E, pi)
     valid = []
-    for blocks in _iter_partitions(len(e)):
-        rb = _relabel(blocks, e)
+    for rb in _relabel(_iter_partitions(len(e)), e):
         if _blocks_noncrossing(pi.blocks + rb):
             valid.append(rb)
     best = min(valid, key=len)
@@ -412,7 +425,8 @@ def kreweras_complement(pi: NonCrossingPartition) -> NonCrossingPartition:
     Satisfies len(pi) + len(complement) == len(ground) + 1.
     """
     blocks = _kreweras_blocks(pi.position_blocks(), len(pi.ground))
-    return NonCrossingPartition._raw(pi.ground, _relabel(blocks, pi.ground))
+    (ground_blocks,) = _relabel((blocks,), pi.ground)
+    return NonCrossingPartition._raw(pi.ground, ground_blocks)
 
 
 def _kreweras_blocks(pos_blocks: Sequence[tuple[int, ...]],

@@ -36,8 +36,7 @@ outlive a call (8 MB at n=2, N=1000);
 Both consumers compute from the memoised arrays in the same way whether the
 entry was cached or not, so no result depends on the cache or on call
 order.  Per-trial randomness comes from independent streams seeded by
-(seed, trial), which makes every estimate reproducible and safely
-parallelizable.
+(seed, trial), which makes every estimate reproducible from its seed.
 
 This is the only module in the package that touches floating point.  numpy
 loads with it; scipy is needed only by :func:`mp_continuous_mass`, which
@@ -46,7 +45,6 @@ imports it on its first call.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -55,7 +53,7 @@ import numpy as np
 
 from . import ratmat
 from ._caches import memo
-from .errors import ConfigError
+from .errors import ConfigError, SizeLimitError
 from .model import ModelLetter, ModelParams, _split_word
 
 __all__ = [
@@ -68,6 +66,11 @@ __all__ = [
 # how far past the Marchenko-Pastur bulk edges an eigenvalue may sit before
 # it counts as outside the support
 SUPPORT_SLACK = 0.3
+
+# the largest matrix size N: one n=2 trial's spectrum in a fresh process on
+# a two-core machine took 1.1 s and 85 MB resident at N=2000, 0.9 s and
+# 225 MB at 4000, and 5.8 s and 781 MB at 8000; X alone grows like N**2
+N_LIMIT = 8000
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,9 @@ class SimulationConfig:
             raise ConfigError(f"n must be an integer >= 2, got {self.n!r}")
         if not isinstance(self.N, int) or self.N < 100:
             raise ConfigError(f"N must be an integer >= 100, got {self.N!r}")
+        if self.N > N_LIMIT:
+            raise SizeLimitError(
+                f"N={self.N} is above the Monte Carlo size limit of {N_LIMIT}")
         if self.N % self.n:
             raise ConfigError(f"N={self.N} must be divisible by n={self.n}")
         if (not isinstance(self.trials, int) or isinstance(self.trials, bool)
@@ -123,17 +129,6 @@ def _rng(config: SimulationConfig, trial: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, trial])
 
 
-def _parallel(fn, count: int, threads: int) -> list:
-    # each running trial holds its own X and Gram blocks, so no more
-    # workers than trials or cores; results do not depend on the count
-    workers = min(threads, count, os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 @memo(maxsize=1)
 def _trial_draw(config: SimulationConfig, trial: int):
     """A trial's row blocks X_i of X and diagonal Gram blocks G_ii = X_i^T X_i.
@@ -155,7 +150,7 @@ def _trial_draw(config: SimulationConfig, trial: int):
 # spectra of the generator alone
 
 
-def sample_free_poisson(config: SimulationConfig, *, threads: int = 1) -> np.ndarray:
+def sample_free_poisson(config: SimulationConfig) -> np.ndarray:
     """Eigenvalue samples of the Wishart generator, shape (trials, N).
 
     Rows are ascending.  The nonzero part is the M eigenvalues of the
@@ -166,9 +161,8 @@ def sample_free_poisson(config: SimulationConfig, *, threads: int = 1) -> np.nda
     word traces just made reuses it; the sum is formed the same way either
     way, so the samples do not depend on the cache.
     """
-    return np.stack(_parallel(
-        lambda t: _spectrum(config, _trial_draw(config, t)[1]),
-        config.trials, threads))
+    return np.stack([_spectrum(config, _trial_draw(config, t)[1])
+                     for t in range(config.trials)])
 
 
 def _spectrum(config: SimulationConfig, diag) -> np.ndarray:
@@ -318,7 +312,7 @@ class FreePairSampler:
     once, plus the summed W(c) of its distinct non-unit factors.  Every
     product is formed left to right from the same arrays whatever the
     batch, so a word's estimate does not depend on the words batched with
-    it, on their order or on the thread count.
+    it or on their order.
     """
 
     def __init__(self, config: SimulationConfig):
@@ -367,36 +361,35 @@ class FreePairSampler:
             del heads[_shared_length(head, following):]
         return values
 
-    def estimate_words(self, words: Sequence[Sequence[ModelLetter]], *,
-                       threads: int = 1) -> list[MomentEstimate]:
-        return self._walk(words, threads, spectra=False)[1]
+    def estimate_words(self, words: Sequence[Sequence[ModelLetter]]
+                       ) -> list[MomentEstimate]:
+        return self._walk(words, spectra=False)[1]
 
-    def spectra_and_words(self, words: Sequence[Sequence[ModelLetter]], *,
-                          threads: int = 1) -> tuple[np.ndarray, list[MomentEstimate]]:
+    def spectra_and_words(self, words: Sequence[Sequence[ModelLetter]]
+                          ) -> tuple[np.ndarray, list[MomentEstimate]]:
         """``(sample_free_poisson(config), estimate_words(words))`` in one walk.
 
         Each trial reads its draw once and hands the same arrays to its
         spectrum and its word traces, so the pair equals the two separate
-        calls bit for bit at any thread count.
+        calls bit for bit.
         """
-        return self._walk(words, threads, spectra=True)
+        return self._walk(words, spectra=True)
 
-    def _walk(self, words, threads: int, spectra: bool):
+    def _walk(self, words, spectra: bool):
         cfg = self.config
         T = cfg.trials
         plans = [_word_plan(w, cfg.n) for w in words]
         mixed = list(dict.fromkeys(p for p in plans if isinstance(p, tuple)))
         column = {p: j for j, p in enumerate(mixed)}
 
-        def one(trial: int):
-            rows, diag = _trial_draw(cfg, trial)
-            return (_spectrum(cfg, diag) if spectra else None,
-                    self._trial_values(rows, diag, mixed) if mixed else [])
-
         # matrix-only words need no draw when no spectrum is asked for
-        eigs = values = ()
+        eigs, values = [], []
         if spectra or mixed:
-            eigs, values = zip(*_parallel(one, T, threads))
+            for trial in range(T):
+                rows, diag = _trial_draw(cfg, trial)
+                if spectra:
+                    eigs.append(_spectrum(cfg, diag))
+                values.append(self._trial_values(rows, diag, mixed) if mixed else [])
         values = np.array(values)
         out = []
         for p in plans:
@@ -411,6 +404,5 @@ class FreePairSampler:
                 out.append(MomentEstimate(float(col.mean()), 0.0, T, False))
         return (np.stack(eigs) if spectra else None), out
 
-    def estimate(self, word: Sequence[ModelLetter], *,
-                 threads: int = 1) -> MomentEstimate:
-        return self.estimate_words([word], threads=threads)[0]
+    def estimate(self, word: Sequence[ModelLetter]) -> MomentEstimate:
+        return self.estimate_words([word])[0]

@@ -191,7 +191,8 @@ def check_complement_dual_route(quick: bool = False) -> CheckResult:
         if not D:
             continue
         blocks = rng.choice(ncpart._cached_partitions(len(D)))
-        pi = ncpart.NonCrossingPartition._raw(D, ncpart._relabel(blocks, D))
+        (pi_blocks,) = ncpart._relabel((blocks,), D)
+        pi = ncpart.NonCrossingPartition._raw(D, pi_blocks)
         checked += 1
         if ncpart.pi_tilde(D, E, pi) != ncpart.pi_tilde_bruteforce(D, E, pi):
             problems.append(f"routes disagree at sampled q={q}, D={D}, pi={pi}")
@@ -407,25 +408,26 @@ def check_factor_parameters(quick: bool = False) -> CheckResult:
 # 9. Monte Carlo
 
 
-def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
+def check_monte_carlo(quick: bool = False) -> CheckResult:
     """Wishart spectra and mixed word estimates against the exact engine.
 
     The spectra and the words come from one walk over the trials, so each
-    trial is drawn once.  A mixed word of q letters with exact limit tau passes when its estimate
-    lies within t * SE + q**2 / 2 * max(1, |tau|) / N of tau.  t is the
-    Student-t quantile on trials - 1 degrees of freedom at the two-sided
-    rate MC_FAMILY_RATE / m (Bonferroni over the m mixed words), so over
-    seeds a correct sampler with near-normal trial values fails at most at
-    about that rate; the second term allows for the O(1/N) bias of a
-    finite-N Wishart word trace.  The mean eigenvalue passes when it lies
-    within t * SE of 1, with t the quantile at the two-sided rate
-    MC_FAMILY_RATE on the same degrees of freedom.  At N=300 the spectra
+    trial is drawn once.  A mixed word of q letters with exact limit tau
+    passes when its estimate lies within
+    t * SE + q**2 / 2 * max(1, |tau|) / N of tau.  t is the Student-t
+    quantile on trials - 1 degrees of freedom at the two-sided rate
+    MC_FAMILY_RATE / m (Bonferroni over the m mixed words), so over seeds a
+    correct sampler with near-normal trial values fails at most at about
+    that rate; the second term allows for the O(1/N) bias of a finite-N
+    Wishart word trace.  The mean eigenvalue passes when it lies within
+    t * SE of 1, with t the quantile at the two-sided rate MC_FAMILY_RATE
+    on the same degrees of freedom.  At N=300 the spectra
     must match the squared singular values of X, the independent oracle of
-    the Gram route, to 1e-12 of the largest eigenvalue.  Reruns must
-    reproduce the spectra and estimates bit for bit across thread counts,
-    the joint walk must equal the two separate calls, and the spectrum
-    taken right after a word batch, from the draw the words memoised, must
-    equal the one drawn cold.
+    the Gram route, to 1e-12 of the largest eigenvalue.  A two-trial rerun
+    of the spectra must reproduce the first two trials bit for bit, a joint
+    walk over those two trials must equal the separate spectrum and word
+    calls, and a one-trial spectrum taken right after its word batch, from
+    the draw the words memoised, must equal the first trial.
     """
     import numpy as np
     from scipy import stats
@@ -446,8 +448,7 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
     # length 4 is the shortest at which a word sees G_ji versus G_ij^T for
     # this symmetric alphabet, so both depths go that far
     words = [w for q in range(1, 5) for w in itertools.product(alphabet, repeat=q)]
-    eigs, estimates = rmt.FreePairSampler(config).spectra_and_words(
-        words, threads=threads)
+    eigs, estimates = rmt.FreePairSampler(config).spectra_and_words(words)
 
     atom = rmt.atom_mass_estimate(eigs, config)
     target = 1 - 1 / config.n
@@ -500,25 +501,19 @@ def check_monte_carlo(quick: bool = False, threads: int = 1) -> CheckResult:
 
     rerun = rmt.SimulationConfig(n=config.n, N=config.N, trials=2,
                                  seed=config.seed)
-    again = rmt.sample_free_poisson(rerun, threads=2)
+    again = rmt.sample_free_poisson(rerun)
     if not (again == eigs[:2]).all():
         problems.append("eigenvalue samples are not bit-reproducible")
     small = words[: len(alphabet) * 2]
     first = rmt.FreePairSampler(rerun).estimate_words(small)
-    second = rmt.FreePairSampler(rerun).estimate_words(small, threads=2)
-    if first != second:
-        problems.append("estimates differ between runs or thread counts")
     joint_eigs, joint = rmt.FreePairSampler(rerun).spectra_and_words(small)
     if not ((joint_eigs == again).all() and joint == first):
         problems.append("the joint walk differs from the separate calls")
-    # the spectrum right after the words reuses their memoised draw: for two
-    # trials under a race between two threads, in full for one trial
-    warm = rmt.sample_free_poisson(rerun, threads=2)
+    # the spectrum right after the words reuses their memoised draw
     single = rmt.SimulationConfig(n=config.n, N=config.N, trials=1,
                                   seed=config.seed)
     rmt.FreePairSampler(single).estimate_words(small)
-    if not ((warm == eigs[:2]).all()
-            and (rmt.sample_free_poisson(single) == eigs[:1]).all()):
+    if not (rmt.sample_free_poisson(single) == eigs[:1]).all():
         problems.append("eigenvalue samples change when the words' draw is reused")
 
     return _finish(
@@ -546,12 +541,12 @@ EXACT_CHECKS = (
 RMT_CHECK = check_monte_carlo
 
 
-def run_all(quick: bool = False, include_rmt: bool = False, threads: int = 1,
+def run_all(quick: bool = False, include_rmt: bool = False,
             log: Optional[Callable[[str], None]] = None) -> list[CheckResult]:
     """Run the acceptance checks in order and return their results."""
     checks = [functools.partial(fn, quick=quick) for fn in EXACT_CHECKS]
     if include_rmt:
-        checks.append(functools.partial(RMT_CHECK, quick=quick, threads=threads))
+        checks.append(functools.partial(RMT_CHECK, quick=quick))
     results = []
     for check in checks:
         result = check()

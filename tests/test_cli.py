@@ -64,7 +64,7 @@ def test_nc_enum_cap_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("q", ["15", "16"])
 def test_nc_enum_refuses_sizes_it_cannot_hold_before_enumerating(capsys, q):
-    # NC(15) would need about 7 GB once listed as JSON; the library's
+    # NC(15) would need about 3 GB once listed as JSON; the library's
     # enumeration limit (16) still admits it
     assert int(q) <= ncpart.ENUMERATION_LIMIT
     t0 = time.perf_counter()
@@ -317,17 +317,34 @@ RMT_SIZE = ("--n", "2", "--N", "120", "--trials", "2")
 @pytest.mark.parametrize("argv", [
     ("rmt", "estimate", *RMT_SIZE, "--seed", "-1", "--word", "Z"),
     ("rmt", "sample", *RMT_SIZE, "--seed", "-5"),
-    ("rmt", "estimate", *RMT_SIZE, "--threads", "0", "--word", "Z"),
-    ("rmt", "sample", *RMT_SIZE, "--threads", "-3"),
-    ("verify", "all", "--quick", "--threads", "0"),
 ])
-def test_negative_seeds_and_threads_are_usage_errors(capsys, argv):
+def test_negative_seeds_are_usage_errors(capsys, argv):
     expect_usage_error(capsys, *argv)
 
 
-def test_threads_default_to_one():
-    args = cli._build_parser().parse_args(["rmt", "sample", *RMT_SIZE])
-    assert args.threads == 1
+def test_threads_is_not_an_option(capsys):
+    # trials run in one thread, so no subcommand takes a thread count
+    for argv in (("rmt", "sample", *RMT_SIZE),
+                 ("rmt", "estimate", *RMT_SIZE, "--word", "Z"),
+                 ("verify", "all", "--quick")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--threads", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --threads 2" in captured.err
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("cmd", [("sample",), ("estimate", "--word", "Z")])
+def test_huge_matrix_sizes_are_refused_before_any_draw(capsys, cmd):
+    # N = 10**6 would ask numpy for terabytes; the refusal costs no draw
+    t0 = time.perf_counter()
+    err = expect_usage_error(capsys, "rmt", cmd[0], "--n", "2",
+                             "--N", "1000000", "--trials", "1", *cmd[1:])
+    assert time.perf_counter() - t0 < 1.0
+    assert "size limit of 8000" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

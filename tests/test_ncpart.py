@@ -95,6 +95,16 @@ def test_cached_partitions_share_their_block_tuples():
     assert len({id(b) for b in blocks}) <= len(blocks) / 3
 
 
+def test_enumerated_partitions_share_their_block_tuples():
+    # relabelling maps each distinct block once per call, so the 208012
+    # partitions of NC(12) hold one tuple per block value, not a copy each
+    first: dict = {}
+    for p in ncpart.enumerate_nc(range(1, 13)):
+        for b in p.blocks:
+            assert first.setdefault(b, b) is b
+    assert len(first) == 2 ** 12 - 1
+
+
 @pytest.mark.parametrize("q", range(1, 10))
 def test_counts_match_catalan_and_narayana(q):
     parts = ncpart.enumerate_nc(range(1, q + 1))

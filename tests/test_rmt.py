@@ -11,13 +11,12 @@ X^T X = sum_i G_ii, are checked against the squared singular values of X.
 Words and spectra share each trial's memoised draw, and neither may depend
 on whether the draw was cached.
 """
-import concurrent.futures
 import gc
 import itertools
-import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -26,13 +25,13 @@ import pytest
 from scipy import integrate
 
 from ncfree import clear_caches, ratmat
-from ncfree.errors import ConfigError
+from ncfree.errors import ConfigError, SizeLimitError
 from ncfree.model import Z, matrix_letter
 from ncfree.rmt import (
+    N_LIMIT,
     FreePairSampler,
     SimulationConfig,
     _compile_plan,
-    _parallel,
     _rng,
     _trial_draw,
     atom_mass_estimate,
@@ -74,6 +73,16 @@ def test_config_validation():
     for seed in (-1, 1.5, "3"):
         with pytest.raises(ConfigError):
             SimulationConfig(n=2, N=200, seed=seed)
+
+
+def test_matrix_sizes_above_the_limit_are_refused():
+    # X alone would take terabytes at N = 10**6; the refusal draws nothing
+    assert SimulationConfig(n=2, N=N_LIMIT).N == N_LIMIT
+    t0 = time.perf_counter()
+    for N in (N_LIMIT + 2, 1_000_000):
+        with pytest.raises(SizeLimitError, match="size limit"):
+            SimulationConfig(n=2, N=N, trials=1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -128,41 +137,9 @@ def test_eigenvalue_samples_are_deterministic_and_stream_based():
     a = sample_free_poisson(cfg)
     b = sample_free_poisson(cfg)
     assert np.array_equal(a, b)
-    # per-trial streams: fewer trials reproduce a prefix, threads change nothing
+    # per-trial streams: fewer trials reproduce a prefix
     short = sample_free_poisson(SimulationConfig(n=2, N=120, trials=2, seed=11))
     assert np.array_equal(short, a[:2])
-    threaded = sample_free_poisson(cfg, threads=3)
-    assert np.array_equal(threaded, a)
-
-
-def test_thread_pool_is_bounded_by_trials_and_cores(monkeypatch):
-    # the recorder runs the map in the calling thread, so no thread starts
-    seen = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    squares = [i * i for i in range(64)]
-    assert _parallel(lambda i: i * i, 64, 64) == squares
-    assert _parallel(lambda i: i * i, 3, 64) == squares[:3]
-    assert _parallel(lambda i: i * i, 64, 2) == squares
-    assert seen == [4, 3, 2]
-    # an unknown core count runs the trials in the calling thread
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _parallel(lambda i: i * i, 8, 8) == squares[:8]
-    assert seen == [4, 3, 2]
 
 
 @pytest.mark.parametrize("n, N", [(2, 400), (3, 399)])
@@ -296,25 +273,24 @@ def test_word_batch_matches_naive_embedding(n, alphabet):
         assert est.value == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n, alphabet", [
     (2, [Z, E11, SYM, SKEW]),
     (3, [Z, E11_3, MIX_3]),
 ])
-def test_estimates_do_not_depend_on_the_batch(n, alphabet, threads):
+def test_estimates_do_not_depend_on_the_batch(n, alphabet):
     # every head product is formed left to right from the same arrays, so
     # a word's estimate is the same to the last bit alone, in its batch and
     # in a shuffled batch
     cfg = SimulationConfig(n=n, N=120, trials=3, seed=43)
     sampler = FreePairSampler(cfg)
     words = sampled_words(alphabet, range(1, 7), 40, seed=10 + n)
-    batch = sampler.estimate_words(words, threads=threads)
+    batch = sampler.estimate_words(words)
     perm = random.Random(n).sample(range(len(words)), len(words))
-    shuffled = sampler.estimate_words([words[i] for i in perm], threads=threads)
+    shuffled = sampler.estimate_words([words[i] for i in perm])
     for k, i in enumerate(perm):
         assert shuffled[k] == batch[i]
     for word, est in zip(words, batch):
-        assert sampler.estimate(word, threads=threads) == est
+        assert sampler.estimate(word) == est
 
 
 def test_back_to_back_batches_hold_no_memory():
@@ -348,44 +324,39 @@ def test_back_to_back_batches_hold_no_memory():
     assert _trial_draw.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n, alphabet", [
     (2, [Z, E11, SYM, SKEW]),
     (3, [Z, E11_3, MIX_3]),
 ])
-def test_the_draw_cache_cannot_change_a_result(n, alphabet, threads):
+def test_the_draw_cache_cannot_change_a_result(n, alphabet):
     # a one-trial config hits the memoised draw in both directions; over
-    # three trials the one-entry memo is mostly cold, and two threads race
-    # for it
+    # three trials the one-entry memo is mostly cold
     words = sampled_words(alphabet, range(1, 6), 30, seed=20 + n)
     for trials in (1, 3):
         cfg = SimulationConfig(n=n, N=120, trials=trials, seed=53)
         clear_caches()
         cold = sample_free_poisson(cfg)
         clear_caches()
-        words_first = FreePairSampler(cfg).estimate_words(words, threads=threads)
+        words_first = FreePairSampler(cfg).estimate_words(words)
         hits = _trial_draw.cache_info().hits
-        after_words = sample_free_poisson(cfg, threads=threads)
-        words_after = FreePairSampler(cfg).estimate_words(words, threads=threads)
+        after_words = sample_free_poisson(cfg)
+        words_after = FreePairSampler(cfg).estimate_words(words)
         if trials == 1:
             assert _trial_draw.cache_info().hits == hits + 2
-        threaded = sample_free_poisson(cfg, threads=2)
         assert np.array_equal(after_words, cold)
-        assert np.array_equal(threaded, cold)
         assert words_after == words_first
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_joint_walk_draws_once_and_equals_the_separate_calls(threads):
+def test_joint_walk_draws_once_and_equals_the_separate_calls():
     # the spectra and the word traces of one walk read each trial's draw
     # once and match the two separate calls bit for bit
     words = sampled_words([Z, E11, SYM, SKEW], range(1, 6), 30, seed=31) + [(E11, SYM)]
     cfg = SimulationConfig(n=2, N=120, trials=3, seed=59)
     clear_caches()
-    eigs, estimates = FreePairSampler(cfg).spectra_and_words(words, threads=threads)
+    eigs, estimates = FreePairSampler(cfg).spectra_and_words(words)
     assert _trial_draw.cache_info().misses == cfg.trials
-    assert np.array_equal(eigs, sample_free_poisson(cfg, threads=threads))
-    assert estimates == FreePairSampler(cfg).estimate_words(words, threads=threads)
+    assert np.array_equal(eigs, sample_free_poisson(cfg))
+    assert estimates == FreePairSampler(cfg).estimate_words(words)
     # a batch with no generator letter still draws for its spectra
     eigs, estimates = FreePairSampler(cfg).spectra_and_words([(E11, SYM)])
     assert np.array_equal(eigs, sample_free_poisson(cfg))
@@ -412,7 +383,7 @@ def test_estimates_are_deterministic_and_dedupe_rotations():
     # the third keeps its own rotation and only agrees up to float order
     assert ests[0].value == ests[1].value
     assert ests[2].value == pytest.approx(ests[0].value, rel=1e-10)
-    again = sampler.estimate_words(words, threads=2)
+    again = sampler.estimate_words(words)
     assert [e.value for e in again] == [e.value for e in ests]
 
 
