@@ -2,6 +2,9 @@
 
 Example:
     python scripts/spectral_histogram.py --n 2 --N 1200 --trials 10 --bins 40
+
+To save the raw eigenvalues, use ``ncfree rmt sample --out FILE``, which
+writes them as CSV under a header that records the configuration.
 """
 import argparse
 
@@ -24,7 +27,6 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--bins", type=int, default=40)
     ap.add_argument("--width", type=int, default=60, help="bar width in chars")
-    ap.add_argument("--out", help="also dump the raw eigenvalues to this CSV")
     args = ap.parse_args()
 
     config = SimulationConfig(n=args.n, N=args.N, trials=args.trials,
@@ -49,13 +51,6 @@ def main() -> int:
         ref = mp_density(mid, config.rate, config.jump)
         bar = "#" * int(round(args.width * d / top))
         print(f"{mid:8.3f} {d:8.4f} (mp {ref:8.4f}) {bar}")
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("eigenvalue\n")
-            for v in eigs.ravel().tolist():
-                fh.write(f"{v!r}\n")
-        print(f"\nwrote {eigs.size} eigenvalues to {args.out}")
     return 0
 
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import ncpart, ratmat
+from ._caches import memo
 from .errors import ArityError, ConfigError, SizeLimitError
 
 ExactScalar = ncpart.ExactScalar
@@ -65,92 +66,89 @@ class FreeProduct:
 
     Z is the free Poisson element with rate 1/n and jump n.  A word is a
     tuple of letter payloads: an int k >= 0 stands for Z**k, and an n-by-n
-    ``ratmat`` matrix stands for itself.  ``moment`` evaluates the trace by
-    the centering recursion: merge adjacent letters of one algebra, split
-    every letter into its centered part plus a scalar, expand
-    multilinearly, and use that an alternating product of centered letters
-    has trace zero.  Powers of Z are traced by ``free_poisson_moment``,
-    matrices by unmemoised ``ratmat`` traces.  The cost doubles with each
-    letter, so words longer than ``WORD_LIMIT`` are refused.  Subword values
-    are memoized on the instance, so one FreeProduct should be reused across
-    many words.
+    matrix, coerced by ``ratmat.matrix``, stands for itself.  ``moment``
+    evaluates the trace by the centering recursion: merge adjacent letters
+    of one algebra, split every letter into its centered part plus a
+    scalar, expand multilinearly, and use that an alternating product of
+    centered letters has trace zero.  Powers of Z are traced by
+    ``free_poisson_moment``, matrices by ``ratmat`` traces.  The cost
+    doubles with each letter, so words longer than ``WORD_LIMIT`` are
+    refused.  An instance holds only n; subword values live in the
+    registered memo ``_moment``.
 
     >>> FreeProduct(2).moment((1, 1)) == 3
     True
     """
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigError(f"matrix size must be a positive integer, got {n!r}")
         self.n = n
-        self._identity = ratmat.identity(n)
-        self._memo: dict = {}
 
     def moment(self, word: Sequence) -> Fraction:
         if len(word) > WORD_LIMIT:
             raise SizeLimitError(
                 f"word of length {len(word)} above the word limit of {WORD_LIMIT}")
+        payloads = []
         for letter in word:
-            if isinstance(letter, int):
+            if isinstance(letter, int) and not isinstance(letter, bool):
                 if letter < 0:
                     raise ConfigError(f"negative power {letter} of the generator")
-            elif not isinstance(letter, tuple) or len(letter) != self.n:
-                raise ConfigError(f"expected a power of Z or a {self.n}x{self.n} "
-                                  f"matrix, got {letter!r}")
-        return Fraction(self._moment(self._normalize(word)))
+            else:
+                letter = ratmat.matrix(letter)
+                if len(letter) != self.n:
+                    raise ConfigError(f"expected a power of Z or a {self.n}x{self.n} "
+                                      f"matrix, got a {len(letter)}x{len(letter)} one")
+            payloads.append(letter)
+        return Fraction(_moment(self.n, _normalize(payloads)))
 
-    # -- internals
 
-    def _is_unit(self, letter) -> bool:
-        return letter == (0 if isinstance(letter, int) else self._identity)
+def _is_unit(letter) -> bool:
+    return letter == (0 if isinstance(letter, int) else ratmat.identity(len(letter)))
 
-    def _trace(self, letter) -> Fraction:
+
+def _normalize(word) -> tuple:
+    # merge adjacent same-algebra letters and drop unit letters; a merge can
+    # create a unit, which exposes a new adjacency to the next letter
+    out: list = []
+    for letter in word:
+        while (not _is_unit(letter) and out
+               and isinstance(out[-1], int) == isinstance(letter, int)):
+            prev = out.pop()
+            letter = (prev + letter if isinstance(letter, int)
+                      else ratmat.mat_mul(prev, letter))
+        if not _is_unit(letter):
+            out.append(letter)
+    return tuple(out)
+
+
+@memo
+def _moment(n: int, word: tuple) -> ExactScalar:
+    # trace of a normalized payload word in the free product with M_n
+    if not word:
+        return 1
+    if len(word) == 1:
+        letter = word[0]
         if isinstance(letter, int):
-            return free_poisson_moment(Fraction(1, self.n), self.n, letter)
-        return ratmat.product_trace((letter,))
-
-    def _normalize(self, word) -> tuple:
-        # merge adjacent same-algebra letters and drop unit letters; a merge
-        # can create a unit, which exposes a new adjacency to the next letter
-        out: list = []
-        for letter in word:
-            while (not self._is_unit(letter) and out
-                   and isinstance(out[-1], int) == isinstance(letter, int)):
-                prev = out.pop()
-                letter = (prev + letter if isinstance(letter, int)
-                          else ratmat.mat_mul(prev, letter))
-            if not self._is_unit(letter):
-                out.append(letter)
-        return tuple(out)
-
-    def _moment(self, word: tuple) -> ExactScalar:
-        if not word:
-            return 1
-        hit = self._memo.get(word)
-        if hit is not None:
-            return hit
-        if len(word) == 1:
-            value = self._memo[word] = self._trace(word[0])
-            return value
-        q = len(word)
-        traces = [self._trace(letter) for letter in word]
-        # tau(word) = -sum over proper subsets S of (-1)^(q-|S|) *
-        #             prod of traces outside S * tau(subword on S);
-        # the full-set term vanishes by freeness of centered letters.
-        total: ExactScalar = 0
-        for mask in range(2 ** q - 1):
-            coeff: ExactScalar = 1
-            sub = []
-            for i in range(q):
-                if mask >> i & 1:
-                    sub.append(word[i])
-                else:
-                    coeff *= -traces[i]
-            if coeff != 0:
-                total += coeff * self._moment(self._normalize(sub))
-        value = -total
-        self._memo[word] = value
-        return value
+            return free_poisson_moment(Fraction(1, n), n, letter)
+        return ratmat.product_trace(word)
+    q = len(word)
+    traces = [_moment(n, (letter,)) for letter in word]
+    # tau(word) = -sum over proper subsets S of (-1)^(q-|S|) *
+    #             prod of traces outside S * tau(subword on S);
+    # the full-set term vanishes by freeness of centered letters.
+    total: ExactScalar = 0
+    for mask in range(2 ** q - 1):
+        coeff: ExactScalar = 1
+        sub = []
+        for i in range(q):
+            if mask >> i & 1:
+                sub.append(word[i])
+            else:
+                coeff *= -traces[i]
+        if coeff != 0:
+            total += coeff * _moment(n, _normalize(sub))
+    return -total
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +159,9 @@ def mixed_cumulant(word: Sequence, moment_source: MomentSource) -> ExactScalar:
     """Free cumulant of a letter tuple given a joint moment functional.
 
     ``moment_source`` receives subtuples of ``word`` in increasing position
-    order and must return exact scalars.
+    order and must return exact scalars.  An empty word raises
+    :class:`ArityError`.
     """
-    if len(word) == 0:
-        raise ArityError("cumulant of an empty tuple is undefined")
     return ncpart.moments_to_cumulants(moment_source, tuple(word))
 
 

@@ -39,33 +39,25 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ModelLetter:
-    """One letter of a model word: the generator Z or an n-by-n matrix."""
-    kind: str
+    """One letter of a model word: an n-by-n matrix, or Z when it is None."""
     matrix: tuple | None = None
 
     def __post_init__(self):
-        if self.kind == "Z":
-            if self.matrix is not None:
-                raise ConfigError("the generator letter carries no matrix")
-        elif self.kind == "matrix":
-            if self.matrix is None:
-                raise ConfigError("matrix letter without a matrix")
+        if self.matrix is not None:
             # square rows of Fractions, so that letters hash and compare by value
             object.__setattr__(self, "matrix", ratmat.matrix(self.matrix))
-        else:
-            raise ConfigError(f"unknown letter kind {self.kind!r}")
 
     @property
     def is_z(self) -> bool:
-        return self.kind == "Z"
+        return self.matrix is None
 
 
-Z = ModelLetter("Z")
+Z = ModelLetter()
 
 
 def matrix_letter(rows) -> ModelLetter:
     """Wrap a square rational matrix as a word letter."""
-    return ModelLetter("matrix", rows)
+    return ModelLetter(rows)
 
 
 def _split_word(word: Sequence[ModelLetter], params: ModelParams
@@ -183,27 +175,34 @@ def _tau(word: tuple, n: int) -> Fraction:
 class PiTermBreakdown:
     """One summand of the word-trace factorization, with loop bookkeeping.
 
-    ``value`` is cumulant_factor times the product of the block traces and
-    is checked against them on construction.  ``loop_count`` is
-    2 * (|D| - |pi| - |pi_tilde| + 1), so only its sign can be wrong, and a
-    negative count is refused.
+    Only pi, pi_tilde and the block traces are stored; ``cumulant_factor``,
+    ``loop_count`` = 2 * (|D| - |pi| - |pi_tilde| + 1) and ``value`` are
+    computed from them.  A pi_tilde too fine for pi has a negative loop
+    count and is refused.
     """
     n: int
     pi: NonCrossingPartition
     pi_tilde: NonCrossingPartition
-    cumulant_factor: int
     block_traces: tuple
-    loop_count: int
-    value: Fraction
 
     def __post_init__(self):
         if self.loop_count < 0:
             raise ConfigError(f"loop count must be >= 0, got {self.loop_count}")
-        prod = Fraction(self.cumulant_factor)
+
+    @property
+    def cumulant_factor(self) -> int:
+        return _cumulant_weight(self.n, len(self.pi.ground), len(self.pi))
+
+    @property
+    def loop_count(self) -> int:
+        return 2 * (len(self.pi.ground) - len(self.pi) - len(self.pi_tilde) + 1)
+
+    @property
+    def value(self) -> Fraction:
+        value = Fraction(self.cumulant_factor)
         for _, t in self.block_traces:
-            prod *= t
-        if prod != self.value:
-            raise ConfigError("breakdown value does not match its factors")
+            value *= t
+        return value
 
 
 def floating_loops(D: Iterable[int], E: Iterable[int],
@@ -229,15 +228,8 @@ def pi_term(word: Sequence[ModelLetter], pi: NonCrossingPartition,
         raise GroundMismatchError(
             f"partition ground {pi.ground} is not the generator set {D}")
     comp = ncpart.pi_tilde(D, E, pi)
-    factor = _cumulant_weight(params.n, len(D), len(pi))
     traces = tuple((V, _block_trace(word, V)) for V in comp.blocks)
-    value = Fraction(factor)
-    for _, t in traces:
-        value *= t
-    loops = 2 * (len(D) - len(pi) - len(comp) + 1)
-    return PiTermBreakdown(
-        n=params.n, pi=pi, pi_tilde=comp, cumulant_factor=factor,
-        block_traces=traces, loop_count=loops, value=value)
+    return PiTermBreakdown(n=params.n, pi=pi, pi_tilde=comp, block_traces=traces)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +274,6 @@ def tilde_kappa(word: Sequence[ModelLetter], sigma: NonCrossingPartition,
 # ---------------------------------------------------------------------------
 # independent route through the free product centering algorithm
 
-@memo
-def _free_product(n: int) -> FreeProduct:
-    return FreeProduct(n)
-
-
 def centering_moment(word: Sequence[ModelLetter], params: ModelParams, *,
                      cap: int = freeprob.WORD_LIMIT) -> Fraction:
     """The word trace computed by the centering algorithm, not factorization.
@@ -299,5 +286,5 @@ def centering_moment(word: Sequence[ModelLetter], params: ModelParams, *,
     _split_word(word, params)
     if len(word) > cap:
         raise SizeLimitError(f"word of length {len(word)} above the cap of {cap}")
-    return _free_product(params.n).moment(
+    return FreeProduct(params.n).moment(
         tuple(1 if letter.is_z else letter.matrix for letter in word))

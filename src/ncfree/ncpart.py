@@ -95,7 +95,7 @@ class NonCrossingPartition:
     2
     """
 
-    __slots__ = ("ground", "blocks", "_pos")
+    __slots__ = ("ground", "blocks")
 
     def __init__(self, ground: Iterable[int], blocks: Iterable[Iterable[int]]):
         g = as_ground(ground)
@@ -114,7 +114,6 @@ class NonCrossingPartition:
             raise MalformedPartitionError(f"blocks {canon} cross")
         self.ground = g
         self.blocks = tuple(canon)
-        self._pos = None
 
     @classmethod
     def _raw(cls, ground: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
@@ -122,7 +121,6 @@ class NonCrossingPartition:
         self = object.__new__(cls)
         self.ground = ground
         self.blocks = blocks
-        self._pos = None
         return self
 
     @classmethod
@@ -165,10 +163,8 @@ class NonCrossingPartition:
 
     def position_blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks rewritten as 0-based positions within the ground tuple."""
-        if self._pos is None:
-            index = {x: i for i, x in enumerate(self.ground)}
-            self._pos = tuple(tuple(index[x] for x in b) for b in self.blocks)
-        return self._pos
+        index = {x: i for i, x in enumerate(self.ground)}
+        return tuple(tuple(index[x] for x in b) for b in self.blocks)
 
     def __len__(self) -> int:
         return len(self.blocks)

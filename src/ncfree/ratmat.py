@@ -10,12 +10,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._caches import memo
 from .errors import ConfigError, WordSyntaxError
 
 
 def matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    """Build a square matrix, coercing entries to Fraction."""
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """Build a square matrix of Fractions, or raise ConfigError."""
+    try:
+        # a Fraction entry is kept as it is: it is immutable
+        out = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                    for row in rows)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"not a rational matrix: {exc}") from exc
     n = len(out)
     if n == 0 or any(len(row) != n for row in out):
         raise ConfigError(f"expected a square matrix, got rows of sizes "
@@ -23,6 +29,7 @@ def matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     return out
 
 
+@memo
 def identity(n: int):
     return tuple(tuple(Fraction(1 if r == c else 0) for c in range(n))
                  for r in range(n))

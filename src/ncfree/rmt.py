@@ -122,7 +122,10 @@ class MomentEstimate:
     value: float
     std_error: float
     trials: int
-    std_error_ok: bool
+
+    @property
+    def std_error_ok(self) -> bool:
+        return self.trials > 1
 
 
 def _rng(config: SimulationConfig, trial: int) -> np.random.Generator:
@@ -394,14 +397,11 @@ class FreePairSampler:
         out = []
         for p in plans:
             if not isinstance(p, tuple):
-                out.append(MomentEstimate(p, 0.0, T, T > 1))
+                out.append(MomentEstimate(p, 0.0, T))
                 continue
             col = values[:, column[p]]
-            if T > 1:
-                se = float(np.std(col, ddof=1) / math.sqrt(T))
-                out.append(MomentEstimate(float(col.mean()), se, T, True))
-            else:
-                out.append(MomentEstimate(float(col.mean()), 0.0, T, False))
+            se = float(np.std(col, ddof=1) / math.sqrt(T)) if T > 1 else 0.0
+            out.append(MomentEstimate(float(col.mean()), se, T))
         return (np.stack(eigs) if spectra else None), out
 
     def estimate(self, word: Sequence[ModelLetter]) -> MomentEstimate:

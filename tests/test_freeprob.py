@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncfree import freeprob, ratmat
+import ncfree
+from ncfree import _caches, freeprob, model, ratmat
 from ncfree.errors import ArityError, ConfigError, SizeLimitError
 from ncfree.freeprob import (
     FreeProduct,
@@ -80,12 +81,12 @@ def test_matrix_trace_oracle():
     assert fp.moment((ratmat.identity(2),)) == 1
     assert fp.moment((e12, e21)) == Fraction(1, 2)
     # adjacent matrices merge into their product before any trace
-    assert fp._normalize((e12, e21)) == (E11,)
+    assert freeprob._normalize((e12, e21)) == (E11,)
     with pytest.raises(ConfigError):
         fp.moment((ratmat.identity(3),))
     with pytest.raises(ConfigError):
         fp.moment((1, ratmat.identity(3)))
-    for bad_n in (0, -1, 2.0):
+    for bad_n in (0, -1, 2.0, True):
         with pytest.raises(ConfigError):
             FreeProduct(bad_n)
 
@@ -93,7 +94,7 @@ def test_matrix_trace_oracle():
 def test_free_poisson_oracle():
     # powers of Z are free Poisson moments with rate 1/n and jump n
     fp = FreeProduct(2)
-    assert fp._normalize((2, 3)) == (5,)
+    assert freeprob._normalize((2, 3)) == (5,)
     assert fp.moment((2, 1)) == free_poisson_moment(Fraction(1, 2), 2, 3)
     assert FreeProduct(3).moment((4,)) == free_poisson_moment(Fraction(1, 3), 3, 4)
     with pytest.raises(ConfigError):
@@ -119,7 +120,7 @@ def test_unit_letters_are_dropped():
     assert fp.moment(()) == 1
     # a merge that yields the unit exposes a new adjacency
     flip = ratmat.cyclic_permutation(2)
-    assert fp._normalize((1, flip, flip, 2, E11)) == (3, E11)
+    assert freeprob._normalize((1, flip, flip, 2, E11)) == (3, E11)
 
 
 def test_alternating_words_match_classical_factorizations():
@@ -169,9 +170,71 @@ def test_word_cap_and_config_errors():
     with pytest.raises(SizeLimitError):
         fp.moment((1,) * 11)
     # a letter is a power of Z or an n-by-n matrix, nothing else
-    for bad in ("Z", 1.0, None, ((1, 0), (0, 1), (0, 0))):
+    for bad in ("Z", 1.0, None, True, ((1, 0), (0, 1), (0, 0))):
         with pytest.raises(ConfigError):
             fp.moment((bad,))
+
+
+BAD_MATRICES = [
+    [["a", 0], [0, 0]],
+    [[float("nan"), 0], [0, 0]],
+    ((1, 0), (0,)),
+    [1, 2],
+]
+
+
+@pytest.mark.parametrize("bad", BAD_MATRICES)
+def test_bad_matrices_are_config_errors_on_every_layer(bad):
+    with pytest.raises(ConfigError):
+        ratmat.matrix(bad)
+    with pytest.raises(ConfigError):
+        model.matrix_letter(bad)
+    with pytest.raises(ConfigError):
+        FreeProduct(2).moment((1, bad))
+
+
+def test_float_payloads_are_traced_exactly():
+    # a float entry is coerced to its exact Fraction before any arithmetic
+    m = ((0.1, 0), (0, 0))
+    exact = ratmat.matrix(m)
+    fp = FreeProduct(2)
+    assert fp.moment((m, m, m)) == fp.moment((exact,) * 3) == Fraction(0.1) ** 3 / 2
+    assert fp.moment((1, m, 1, m)) == fp.moment((1, exact, 1, exact))
+
+
+# ---------------------------------------------------------------------------
+# the memo registry
+
+
+def test_held_free_product_sees_a_patched_formula(monkeypatch):
+    fp = FreeProduct(2)
+    assert fp.moment((1, 1)) == 3
+    monkeypatch.setattr(freeprob, "free_poisson_moment",
+                        lambda rate, jump, m: Fraction(0))
+    ncfree.clear_caches()
+    try:
+        assert fp.moment((1, 1)) == 0
+        assert FreeProduct(2).moment((1, 1)) == 0
+    finally:
+        monkeypatch.undo()
+        ncfree.clear_caches()
+    assert fp.moment((1, 1)) == 3
+
+
+def test_clear_caches_empties_every_registered_table():
+    def filled():
+        return sum(t.cache_info().currsize for t in _caches._MEMOS)
+
+    p2 = model.ModelParams(2)
+    word = (model.Z, model.matrix_letter(E11), model.Z, model.Z)
+    model.tau_word(word, p2)
+    model.centering_moment(word, p2)
+    before = filled()
+    # a matrix-only word enumerates nothing, so only the centering table grows
+    FreeProduct(2).moment((ratmat.matrix_unit(2, 1, 2), ratmat.matrix_unit(2, 2, 2)))
+    assert filled() > before
+    ncfree.clear_caches()
+    assert [t for t in _caches._MEMOS if t.cache_info().currsize] == []
 
 
 # ---------------------------------------------------------------------------

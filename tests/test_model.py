@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import ncfree
-from ncfree import model, ncpart, ratmat
+from ncfree import ncpart, ratmat
 from ncfree.errors import (
     ArityError,
     ConfigError,
@@ -69,18 +69,13 @@ def test_params_validation():
 def test_letter_validation():
     assert Z.is_z
     assert not E11.is_z
-    with pytest.raises(ConfigError):
-        ModelLetter("Z", matrix=ratmat.identity(2))
-    with pytest.raises(ConfigError):
-        ModelLetter("matrix")
-    with pytest.raises(ConfigError):
-        ModelLetter("w")
+    assert ModelLetter() == Z
     with pytest.raises(ConfigError):
         matrix_letter([[1, 2]])
     with pytest.raises(ConfigError):
-        ModelLetter("matrix", [[1, 2]])
+        ModelLetter([[1, 2]])
     # list rows are normalised, so the letter hashes as memo keys need
-    direct = ModelLetter("matrix", [[1, 0], [0, 0]])
+    direct = ModelLetter([[1, 0], [0, 0]])
     assert direct == E11
     assert hash(direct) == hash(E11)
 
@@ -276,18 +271,15 @@ def test_pi_term_errors():
 
 
 def test_breakdown_validates_on_construction():
-    word = (Z, Z, E11)
+    # Z Z E E E with pi {1,2}: the complement {3,4,5} has one block, so a
+    # pi_tilde of three singletons is too fine and counts -2 loops
+    word = (Z, Z, E11, E11, E11)
     good = pi_term(word, NonCrossingPartition((1, 2), [(1, 2)]), P2)
+    assert good.loop_count == 2
+    fine = NonCrossingPartition.singletons((3, 4, 5))
+    traces = tuple(((v,), Fraction(1, 2)) for v in (3, 4, 5))
     with pytest.raises(ConfigError):
-        PiTermBreakdown(n=2, pi=good.pi, pi_tilde=good.pi_tilde,
-                        cumulant_factor=good.cumulant_factor,
-                        block_traces=good.block_traces,
-                        loop_count=-2, value=good.value)
-    with pytest.raises(ConfigError):
-        PiTermBreakdown(n=2, pi=good.pi, pi_tilde=good.pi_tilde,
-                        cumulant_factor=good.cumulant_factor,
-                        block_traces=good.block_traces,
-                        loop_count=good.loop_count, value=good.value + 1)
+        PiTermBreakdown(n=2, pi=good.pi, pi_tilde=fine, block_traces=traces)
 
 
 def test_floating_loops_small_cases():

@@ -23,6 +23,13 @@ def test_matrix_rejects_non_square():
         ratmat.matrix([])
 
 
+def test_matrix_rejects_what_is_not_rows_of_rationals():
+    # an int is not a sequence of rows, and inf has no exact value
+    for bad in (5, [[float("inf"), 0], [0, 0]], [[1, "1/0"], [0, 0]]):
+        with pytest.raises(ConfigError):
+            ratmat.matrix(bad)
+
+
 def test_identity_and_units():
     assert ratmat.identity(2) == ((1, 0), (0, 1))
     e12 = ratmat.matrix_unit(2, 1, 2)
