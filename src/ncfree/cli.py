@@ -31,6 +31,12 @@ MONTECARLO = "montecarlo"
 # nc enum holds and prints all of NC(q): q=14 peaks at 0.85 GB resident on an
 # 8 GB two-core machine, and q=15 would need about 3 GB (Catalan ratio 3.6)
 NC_ENUM_LIMIT = 14
+# nc pitilde grows with q in a fresh process on a two-core machine: one mark
+# took 0.25 s and 29 MB at q=10**5 and 1.5 s and 138 MB at q=10**6; odd marks
+# paired {1,3}{5,7}... cost quadratically in pi_tilde alone, 0.05 s at
+# q=2000, 0.21 s at q=4000, 0.86 s at q=8000; the whole command at the limit
+# with those 2500 arcs took 1.4 s and 113 MB
+NC_PITILDE_LIMIT = 10_000
 
 
 def _doc(op: str, params: dict, result, provenance: str) -> dict:
@@ -131,6 +137,9 @@ def _cmd_nc_mobius(args) -> tuple[dict, int]:
 
 
 def _cmd_nc_pitilde(args) -> tuple[dict, int]:
+    if args.q > NC_PITILDE_LIMIT:
+        raise SizeLimitError(f"nc pitilde takes at most --q {NC_PITILDE_LIMIT}, "
+                             f"got --q {args.q}")
     D = _parse_int_list(args.d)
     if not all(1 <= i <= args.q for i in D):
         raise GroundMismatchError(f"marked positions {D} must lie in 1..{args.q}")

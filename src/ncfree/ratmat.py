@@ -14,12 +14,18 @@ from ._caches import memo
 from .errors import ConfigError, WordSyntaxError
 
 
+def _row(row: Iterable) -> tuple[Fraction, ...]:
+    # a string is an entry such as "1/2", never a row of digit entries
+    if isinstance(row, str):
+        raise TypeError(f"a row cannot be the string {row!r}")
+    # a Fraction entry is kept as it is: it is immutable
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+
+
 def matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     """Build a square matrix of Fractions, or raise ConfigError."""
     try:
-        # a Fraction entry is kept as it is: it is immutable
-        out = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-                    for row in rows)
+        out = tuple(_row(row) for row in rows)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"not a rational matrix: {exc}") from exc
     n = len(out)

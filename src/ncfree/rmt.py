@@ -94,7 +94,8 @@ class SimulationConfig:
         if (not isinstance(self.trials, int) or isinstance(self.trials, bool)
                 or self.trials < 1):
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or self.seed < 0):
             raise ConfigError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
 

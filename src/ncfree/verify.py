@@ -1,11 +1,13 @@
 """Self-contained acceptance checks, shared by the CLI and the test suite.
 
-Each check returns a :class:`CheckResult` and never raises on a mere value
-mismatch; mismatches land in the result detail so a failing run still reports
-every criterion.  ``quick`` trims ranges to seconds for smoke runs; the full
-depth is what the acceptance tests execute.  All checks except the Monte
-Carlo one are exact rational computations; only the Monte Carlo check loads
-:mod:`ncfree.rmt`, numpy and scipy, when it runs.
+Each check returns a :class:`CheckResult`.  A value mismatch, or an
+exception raised by the code under test, is a failed result whose detail
+names it, so a failing run still reports every criterion: ``verify all``
+then exits 1 and still prints its document.  ``quick`` trims ranges to
+seconds for smoke runs; the full depth is what the acceptance tests
+execute.  All checks except the Monte Carlo one are exact rational
+computations; only the Monte Carlo check loads :mod:`ncfree.rmt`, numpy and
+scipy, when it runs.
 """
 from __future__ import annotations
 
@@ -42,13 +44,29 @@ class CheckResult:
     detail: str
 
 
-def _finish(name: str, problems: list, summary: str, t0: float) -> CheckResult:
-    elapsed = time.perf_counter() - t0
-    if problems:
-        head = "; ".join(problems[:3])
+def _check(body: Callable[[list, bool], str]) -> Callable[..., CheckResult]:
+    """Wrap ``body(problems, quick) -> summary`` as the check named after it
+    (``check_loop_bookkeeping`` reports as ``loop-bookkeeping``).  An
+    exception from the body is one more problem, listed first because it cut
+    the check short, and never the end of the run."""
+    name = body.__name__.removeprefix("check_").replace("_", "-")
+
+    def check(quick: bool = False) -> CheckResult:
+        t0 = time.perf_counter()
+        problems: list[str] = []
+        try:
+            summary = body(problems, quick)
+        except Exception as exc:
+            problems.insert(0, f"{type(exc).__name__}: {exc}")
+        elapsed = f" [{time.perf_counter() - t0:.1f}s]"
+        if not problems:
+            return CheckResult(name, True, summary + elapsed)
         more = f" (+{len(problems) - 3} more)" if len(problems) > 3 else ""
-        return CheckResult(name, False, f"{head}{more} [{elapsed:.1f}s]")
-    return CheckResult(name, True, f"{summary} [{elapsed:.1f}s]")
+        return CheckResult(name, False, "; ".join(problems[:3]) + more + elapsed)
+
+    check.__name__ = check.__qualname__ = body.__name__
+    check.__doc__ = body.__doc__
+    return check
 
 
 def _random_functional(rng: random.Random):
@@ -70,11 +88,10 @@ _LETTERS_N2 = _letters(2, ((1, 1), (1, 2), (2, 1), (2, 2)))
 # 1. enumeration counts
 
 
-def check_catalan_narayana(quick: bool = False) -> CheckResult:
+@_check
+def check_catalan_narayana(problems: list[str], quick: bool) -> str:
     """Counts match Catalan, block-size buckets match Narayana, all valid."""
-    t0 = time.perf_counter()
     hi = 7 if quick else 10
-    problems: list[str] = []
     total = 0
     for q in range(1, hi + 1):
         parts = ncpart.enumerate_nc(range(1, q + 1))
@@ -95,25 +112,23 @@ def check_catalan_narayana(quick: bool = False) -> CheckResult:
         bad = [p for p in parts if not ncpart.is_noncrossing(p.blocks)]
         if bad:
             problems.append(f"q={q}: invalid partition {bad[0]}")
-    return _finish("catalan-narayana", problems,
-                   f"q<={hi}: {total} partitions, counts+buckets+validity", t0)
+    return f"q<={hi}: {total} partitions, counts+buckets+validity"
 
 
 # ---------------------------------------------------------------------------
 # 2. moment/cumulant transforms
 
 
-def check_moment_cumulant_transforms(quick: bool = False) -> CheckResult:
+@_check
+def check_moment_cumulant_transforms(problems: list[str], quick: bool) -> str:
     """Round trips on random rational functionals plus the four
     interval-restricted transform identities."""
-    t0 = time.perf_counter()
     rng = random.Random(VERIFY_SEED + 2)
     functionals = 12 if quick else 100
     max_q = 5 if quick else 8
     forms_q = 4 if quick else 6
     forms_functionals = 2 if quick else 3
     base = tuple("abcdefgh")
-    problems: list[str] = []
     roundtrips = 0
     for trial in range(functionals):
         letters_full = base if trial % 2 else ("a",) * 8
@@ -141,9 +156,8 @@ def check_moment_cumulant_transforms(quick: bool = False) -> CheckResult:
                 forms += 1
                 if not ncpart.partitioned_forms_check(phi, kappa, tau, letters):
                     problems.append(f"restricted identity failed at q={q}, tau={tau}")
-    return _finish("moment-cumulant-transforms", problems,
-                   f"{functionals} functionals, {roundtrips} round trips, "
-                   f"{forms} restricted identities", t0)
+    return (f"{functionals} functionals, {roundtrips} round trips, "
+            f"{forms} restricted identities")
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +179,12 @@ def _all_splits(q: int):
         yield D, E
 
 
-def check_complement_dual_route(quick: bool = False) -> CheckResult:
+@_check
+def check_complement_dual_route(problems: list[str], quick: bool) -> str:
     """Direct complement construction against the exhaustive-search oracle."""
-    t0 = time.perf_counter()
     hi = 5 if quick else 8
     samples = 300 if quick else 10_000
     sample_q = 9 if quick else 12
-    problems: list[str] = []
     checked = 0
     for q in range(1, hi + 1):
         for D, E in _all_splits(q):
@@ -201,22 +214,20 @@ def check_complement_dual_route(quick: bool = False) -> CheckResult:
         problems.append(f"frozen q=18 instance gave {comp}")
     if ncpart.pi_tilde_bruteforce(_FROZEN_D, _FROZEN_E, _FROZEN_PI).blocks != _FROZEN_COMP:
         problems.append("frozen q=18 instance: oracle route disagrees")
-    return _finish("complement-dual-route", problems,
-                   f"{checked} instances (exhaustive q<={hi}, sampled q<={sample_q}), "
-                   f"frozen q=18 instance", t0)
+    return (f"{checked} instances (exhaustive q<={hi}, "
+            f"sampled q<={sample_q}), frozen q=18 instance")
 
 
 # ---------------------------------------------------------------------------
 # 4. generator moment family
 
 
-def check_generator_free_poisson(quick: bool = False) -> CheckResult:
+@_check
+def check_generator_free_poisson(problems: list[str], quick: bool) -> str:
     """Generator cumulants and moments against the free Poisson family."""
-    t0 = time.perf_counter()
     sizes = (2, 3) if quick else (2, 3, 5)
     max_order = 6 if quick else 8
     max_cumulant = 8 if quick else 12
-    problems: list[str] = []
     for n in sizes:
         params = ModelParams(n)
         rate = Fraction(1, n)
@@ -245,21 +256,19 @@ def check_generator_free_poisson(quick: bool = False) -> CheckResult:
             if got != n ** (q - 1):
                 problems.append(f"n={n}: transform route gives cumulant {got} "
                                 f"at q={q}")
-    return _finish("generator-free-poisson", problems,
-                   f"n in {sizes}: cumulants q<={max_cumulant}, "
-                   f"moments m<={max_order}, transform route", t0)
+    return (f"n in {sizes}: cumulants q<={max_cumulant}, "
+            f"moments m<={max_order}, transform route")
 
 
 # ---------------------------------------------------------------------------
 # 5. word traces, factorization vs centering
 
 
-def check_word_trace_dual_route(quick: bool = False) -> CheckResult:
+@_check
+def check_word_trace_dual_route(problems: list[str], quick: bool) -> str:
     """tau_word against the free product centering algorithm."""
-    t0 = time.perf_counter()
     max_len = 4 if quick else 6
     sampled = 100 if quick else 1000
-    problems: list[str] = []
     p2 = ModelParams(2)
     words = 0
     for q in range(1, max_len + 1):
@@ -268,7 +277,7 @@ def check_word_trace_dual_route(quick: bool = False) -> CheckResult:
             if model.tau_word(word, p2) != model.centering_moment(word, p2):
                 problems.append(f"routes disagree at n=2 on {_word_label(word)}")
                 if len(problems) > 5:
-                    return _finish("word-trace-dual-route", problems, "", t0)
+                    return ""  # a failed check reports its problems only
     p3 = ModelParams(3)
     letters3 = _letters(3, ((1, 1), (1, 2), (2, 1), (3, 3)))
     rng = random.Random(VERIFY_SEED + 5)
@@ -278,19 +287,17 @@ def check_word_trace_dual_route(quick: bool = False) -> CheckResult:
         words += 1
         if model.tau_word(word, p3) != model.centering_moment(word, p3):
             problems.append(f"routes disagree at n=3 on {_word_label(word)}")
-    return _finish("word-trace-dual-route", problems,
-                   f"{words} words (all length<={max_len} at n=2, "
-                   f"{sampled} sampled at n=3)", t0)
+    return (f"{words} words (all length<={max_len} at n=2, "
+            f"{sampled} sampled at n=3)")
 
 
 # ---------------------------------------------------------------------------
 # 6. mixed cumulants vanish
 
 
-def check_mixed_cumulants_vanish(quick: bool = False) -> CheckResult:
+@_check
+def check_mixed_cumulants_vanish(problems: list[str], quick: bool) -> str:
     """Every cumulant tuple mixing the generator with matrix letters is zero."""
-    t0 = time.perf_counter()
-    problems: list[str] = []
     runs = [(2, _LETTERS_N2[1:-1], 4 if quick else 6),
             (3, _letters(3, ((1, 1), (1, 2), (2, 3), (3, 1)))[1:-1],
              3 if quick else 6)]
@@ -311,20 +318,18 @@ def check_mixed_cumulants_vanish(quick: bool = False) -> CheckResult:
             word, value = report.violations[0]
             problems.append(f"n={n}: nonzero mixed cumulant {value} on "
                             f"{_word_label(word)}")
-    return _finish("mixed-cumulants-vanish", problems,
-                   f"{checked} mixed tuples, n in (2, 3)", t0)
+    return f"{checked} mixed tuples, n in (2, 3)"
 
 
 # ---------------------------------------------------------------------------
 # 7. loop bookkeeping
 
 
-def check_loop_bookkeeping(quick: bool = False) -> CheckResult:
+@_check
+def check_loop_bookkeeping(problems: list[str], quick: bool) -> str:
     """Loop counts are nonnegative over every split; the frozen instance
     carries exactly two loops; summands add up to tau_word."""
-    t0 = time.perf_counter()
     hi = 7 if quick else 10
-    problems: list[str] = []
     checked = 0
     for q in range(1, hi + 1):
         for D, E in _all_splits(q):
@@ -354,20 +359,18 @@ def check_loop_bookkeeping(quick: bool = False) -> CheckResult:
                      for pi2 in ncpart.enumerate_nc(D2)), Fraction(0))
         if total != model.tau_word(word, p2):
             problems.append(f"summands do not add to tau on {_word_label(word)}")
-    return _finish("loop-bookkeeping", problems,
-                   f"{checked} split instances q<={hi}, frozen instance, "
-                   f"{sum_words} summand totals", t0)
+    return (f"{checked} split instances q<={hi}, frozen instance, "
+            f"{sum_words} summand totals")
 
 
 # ---------------------------------------------------------------------------
 # 8. factor parameter arithmetic
 
 
-def check_factor_parameters(quick: bool = False) -> CheckResult:
+@_check
+def check_factor_parameters(problems: list[str], quick: bool) -> str:
     """Closed-form parameter, pipeline agreement, and branch continuity."""
-    t0 = time.perf_counter()
     hi = 100 if quick else 1000
-    problems: list[str] = []
     prev = None
     for n in range(2, hi + 1):
         got = factors.m3_parameter(ModelParams(n))
@@ -399,16 +402,15 @@ def check_factor_parameters(quick: bool = False) -> CheckResult:
                 continue
             if at.summands[0].parameter != below.summands[1].parameter:
                 problems.append(f"d={d}, r={r}: branches disagree at the boundary")
-    return _finish("factor-parameters", problems,
-                   f"n<={hi} closed form+pipeline+monotone, branch boundary "
-                   f"d<=6", t0)
+    return f"n<={hi} closed form+pipeline+monotone, branch boundary d<=6"
 
 
 # ---------------------------------------------------------------------------
 # 9. Monte Carlo
 
 
-def check_monte_carlo(quick: bool = False) -> CheckResult:
+@_check
+def check_monte_carlo(problems: list[str], quick: bool) -> str:
     """Wishart spectra and mixed word estimates against the exact engine.
 
     The spectra and the words come from one walk over the trials, so each
@@ -434,13 +436,11 @@ def check_monte_carlo(quick: bool = False) -> CheckResult:
 
     from . import rmt
 
-    t0 = time.perf_counter()
     if quick:
         config = rmt.SimulationConfig(n=2, N=300, trials=8, seed=VERIFY_SEED)
     else:
         config = rmt.SimulationConfig(n=2, N=2000, trials=50, seed=VERIFY_SEED)
     params = ModelParams(config.n)
-    problems: list[str] = []
     e11 = matrix_letter(ratmat.matrix_unit(2, 1, 1))
     x = matrix_letter(ratmat.mat_add(ratmat.matrix_unit(2, 1, 2),
                                      ratmat.matrix_unit(2, 2, 1)))
@@ -516,11 +516,9 @@ def check_monte_carlo(quick: bool = False) -> CheckResult:
     if not (rmt.sample_free_poisson(single) == eigs[:1]).all():
         problems.append("eigenvalue samples change when the words' draw is reused")
 
-    return _finish(
-        "monte-carlo", problems,
-        f"N={config.N}, trials={config.trials}: atom={atom:.4f}, {zz_line}, "
-        f"{len(words)} words, worst z-score {worst:.2f} "
-        f"(t gate {t_quantile:.2f} + bias)", t0)
+    return (f"N={config.N}, trials={config.trials}: atom={atom:.4f}, {zz_line}, "
+            f"{len(words)} words, worst z-score {worst:.2f} "
+            f"(t gate {t_quantile:.2f} + bias)")
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +542,9 @@ RMT_CHECK = check_monte_carlo
 def run_all(quick: bool = False, include_rmt: bool = False,
             log: Optional[Callable[[str], None]] = None) -> list[CheckResult]:
     """Run the acceptance checks in order and return their results."""
-    checks = [functools.partial(fn, quick=quick) for fn in EXACT_CHECKS]
-    if include_rmt:
-        checks.append(functools.partial(RMT_CHECK, quick=quick))
     results = []
-    for check in checks:
-        result = check()
+    for check in EXACT_CHECKS + ((RMT_CHECK,) if include_rmt else ()):
+        result = check(quick)
         results.append(result)
         if log is not None:
             log(f"{'ok  ' if result.ok else 'FAIL'} {result.name}: {result.detail}")

@@ -1,4 +1,5 @@
 """Command line contract: JSON schema, frozen outputs, exit codes."""
+import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import ncfree
-from ncfree import cli, model, ncpart
+from ncfree import cli, factors, model, ncpart
 from ncfree.errors import SizeLimitError
 
 
@@ -120,6 +121,21 @@ def test_nc_pitilde_rejects_crossing(capsys):
                                        ("4", "2,5", "{2,5}")])
 def test_nc_pitilde_rejects_marks_outside_q(capsys, q, d, pi):
     expect_usage_error(capsys, "nc", "pitilde", "--q", q, "--d", d, "--pi", pi)
+
+
+def test_huge_pitilde_sizes_are_refused_before_the_complement(capsys):
+    # q = 10**9 would build a billion-entry unmarked list; the refusal builds none
+    limit = cli.NC_PITILDE_LIMIT
+    doc = run_json(capsys, "nc", "pitilde", "--q", str(limit), "--d", "1",
+                   "--pi", "{1}")
+    assert doc["result"] == "{" + ",".join(map(str, range(2, limit + 1))) + "}"
+    t0 = time.perf_counter()
+    for q in (limit + 1, 10 ** 9):
+        err = expect_usage_error(capsys, "nc", "pitilde", "--q", str(q),
+                                 "--d", "1", "--pi", "{1}")
+        assert f"at most --q {limit}" in err
+        assert "Traceback" not in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("d", ["2,,5", "2,5,", ",2,5", ""])
@@ -389,3 +405,48 @@ def test_verify_detects_a_seeded_weight_bug(capsys):
         ncfree.clear_caches()
     code, _, _ = run(capsys, "verify", "all", "--quick")
     assert code == 0
+
+
+def _bend_dykema_pipeline(monkeypatch):
+    # the pipeline lands 1/1000 off the closed form, so m3_parameter raises
+    original = factors.dykema_free_product
+
+    def bent(r, alpha, d):
+        *rest, top = original(r, alpha, d).summands
+        top = dataclasses.replace(top, parameter=top.parameter + Fraction(1, 1000))
+        return factors.FactorDescription((*rest, top))
+
+    monkeypatch.setattr(factors, "dykema_free_product", bent)
+
+
+def _singleton_complement(monkeypatch):
+    # every complement block a singleton drives loop counts negative, so
+    # pi_term raises inside loop-bookkeeping
+    monkeypatch.setattr(ncpart, "_rest_complement",
+                        lambda pi_blocks, rest: tuple((e,) for e in rest))
+
+
+@pytest.mark.parametrize("defect, check, error, unaffected", [
+    (_bend_dykema_pipeline, "factor-parameters",
+     "NcfreeError: pipeline parameter 1501/1000 disagrees with closed form 3/2",
+     "loop-bookkeeping"),
+    (_singleton_complement, "loop-bookkeeping",
+     "ConfigError: loop count must be >= 0", "factor-parameters"),
+], ids=["bent-dykema-pipeline", "singleton-complement"])
+def test_verify_reports_a_raising_check_as_failed(capsys, monkeypatch, defect,
+                                                  check, error, unaffected):
+    # a defect that makes the code under test raise fails its check; the
+    # run still ends with exit 1 and a document naming all eight checks,
+    # and a check the defect does not reach still passes
+    defect(monkeypatch)
+    ncfree.clear_caches()
+    try:
+        doc = run_json(capsys, "verify", "all", "--quick", expect=1)
+    finally:
+        ncfree.clear_caches()
+    assert doc["result"]["ok"] is False
+    checks = {c["name"]: c for c in doc["result"]["checks"]}
+    assert len(checks) == 8
+    assert not checks[check]["ok"]
+    assert checks[check]["detail"].startswith(error)
+    assert checks[unaffected]["ok"]

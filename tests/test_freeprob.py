@@ -180,6 +180,7 @@ BAD_MATRICES = [
     [[float("nan"), 0], [0, 0]],
     ((1, 0), (0,)),
     [1, 2],
+    ["12", "34"],
 ]
 
 

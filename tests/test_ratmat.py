@@ -24,8 +24,10 @@ def test_matrix_rejects_non_square():
 
 
 def test_matrix_rejects_what_is_not_rows_of_rationals():
-    # an int is not a sequence of rows, and inf has no exact value
-    for bad in (5, [[float("inf"), 0], [0, 0]], [[1, "1/0"], [0, 0]]):
+    # an int is not a sequence of rows, inf has no exact value, and a string
+    # is one entry, not a row of digits
+    for bad in (5, [[float("inf"), 0], [0, 0]], [[1, "1/0"], [0, 0]],
+                ["12", "34"], "1", ("1",)):
         with pytest.raises(ConfigError):
             ratmat.matrix(bad)
 

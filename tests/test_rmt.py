@@ -69,8 +69,9 @@ def test_config_validation():
     for trials in (0, 2.5, "3", True):
         with pytest.raises(ConfigError):
             SimulationConfig(n=2, N=200, trials=trials)
-    # numpy's generator refuses negative seeds; refuse them before it does
-    for seed in (-1, 1.5, "3"):
+    # numpy's generator refuses negative seeds; refuse them before it does,
+    # and a bool is no seed, as it is no trial count
+    for seed in (-1, 1.5, "3", True, False):
         with pytest.raises(ConfigError):
             SimulationConfig(n=2, N=200, seed=seed)
 
