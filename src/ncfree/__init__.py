@@ -13,6 +13,7 @@ from .errors import (
     ArityError,
     ConfigError,
     GroundMismatchError,
+    InconsistencyError,
     MalformedPartitionError,
     MobiusOrderError,
     NcfreeError,
@@ -47,6 +48,7 @@ from .model import (
     pi_term,
     tau_word,
     tilde_kappa,
+    word_cumulant,
     z_cumulant,
     z_moment,
 )
@@ -73,7 +75,7 @@ __all__ = [
     # errors
     "NcfreeError", "MalformedPartitionError", "GroundMismatchError",
     "MobiusOrderError", "SizeLimitError", "ArityError", "ConfigError",
-    "WordSyntaxError",
+    "WordSyntaxError", "InconsistencyError",
     # partitions
     "NonCrossingPartition", "catalan", "enumerate_nc", "is_noncrossing",
     "refines", "mobius", "kreweras_complement", "pi_tilde",
@@ -85,7 +87,7 @@ __all__ = [
     # model
     "ModelParams", "ModelLetter", "Z", "matrix_letter", "dim_box",
     "z_cumulant", "z_moment", "tau_word", "pi_term", "PiTermBreakdown",
-    "floating_loops", "tilde_kappa", "centering_moment",
+    "floating_loops", "tilde_kappa", "word_cumulant", "centering_moment",
     # factors
     "Summand", "FactorDescription", "vn_z_description", "dykema_free_product",
     "free_product_with_matrix", "m3_parameter",

@@ -1,12 +1,12 @@
 """The package's one memo policy: ``lru_cache`` tables, flushed together.
 
 Every memo (partition tables, Mobius values, identity matrices, block
-traces, word traces, the centering table ``freeprob._moment``, the Monte
-Carlo trial draw) is a function decorated with :func:`memo`; no module
-caches outside this registry, so ``cache_info()`` of the tables in
-``_MEMOS`` sees them all.  Arguments must be hashable; the tables grow
-without a bound for the life of the process, or until :func:`clear_all`
-empties every one of them at once.  Tests that monkeypatch a formula call
+traces, word traces and their integer numerators, the centering table
+``freeprob._moment``, the Monte Carlo trial draw) is a function decorated
+with :func:`memo`; no module caches outside this registry, so
+``cache_info()`` of the tables in ``_MEMOS`` sees them all.  Arguments must
+be hashable; the tables grow without a bound for the life of the process,
+or until :func:`clear_all` empties every one of them at once.  Tests that monkeypatch a formula call
 ``clear_all`` first, otherwise stale entries would mask the patch.
 
 One table is bounded: ``rmt._trial_draw`` keeps a single entry

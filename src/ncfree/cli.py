@@ -4,7 +4,8 @@ Every subcommand prints one JSON document (sorted keys) on stdout with the
 fields op, params, result, provenance, and version; diagnostics go to
 stderr.  Exact subcommands exchange rationals as "p/q" strings; floats are
 confined to the ``rmt`` subcommands.  Exit codes: 0 success, 1 verification
-failure, 2 usage or input error.
+failure or internal inconsistency (``InconsistencyError``), 2 usage or input
+error.
 
 Word letters use a compact text syntax, whitespace separated: ``Z`` for the
 generator, ``M[[a,b],[c,d]]`` for a matrix letter with rational entries such
@@ -21,8 +22,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__, factors, freeprob, model, ncpart, ratmat
-from .errors import (ArityError, GroundMismatchError, NcfreeError,
-                     OutputError, SizeLimitError, WordSyntaxError)
+from .errors import (ArityError, GroundMismatchError, InconsistencyError,
+                     NcfreeError, OutputError, SizeLimitError, WordSyntaxError)
 from .model import ModelParams
 
 EXACT = "exact"
@@ -220,11 +221,9 @@ def _cmd_free_check(args) -> tuple[dict, int]:
     params_model = ModelParams(args.n)
     mats = [model.matrix_letter(ratmat.matrix_unit(args.n, i, j))
             for i in range(1, args.n + 1) for j in range(1, args.n + 1)]
-
-    def source(word: tuple) -> Fraction:
-        return model.tau_word(word, params_model)
-
-    report = freeprob.freeness_check([[model.Z], mats], args.max_q, source)
+    report = freeprob.freeness_check(
+        [[model.Z], mats], args.max_q,
+        lambda word: model.word_cumulant(word, params_model))
     result = {
         "certified": report.certified,
         "tuples_checked": report.tuples_checked,
@@ -445,7 +444,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc, code = args.handler(args)
     except NcfreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # the package disagreeing with itself is a failure, not bad input
+        return 1 if isinstance(exc, InconsistencyError) else 2
     print(json.dumps(doc, sort_keys=True))
     return code
 

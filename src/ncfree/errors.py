@@ -41,3 +41,7 @@ class WordSyntaxError(NcfreeError, ValueError):
 
 class OutputError(NcfreeError, OSError):
     """A result file could not be written."""
+
+
+class InconsistencyError(NcfreeError, RuntimeError):
+    """Two of the package's own computations disagree; a defect, not bad input."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ConfigError, NcfreeError
+from .errors import ConfigError, InconsistencyError
 from .model import ModelParams
 
 SCALAR = "scalar"
@@ -159,10 +159,10 @@ def m3_parameter(params: ModelParams) -> Fraction:
     closed = 1 + Fraction(2 * (n - 1), n * n)
     piped = free_product_with_matrix(vn_z_description(params), n)
     if len(piped.summands) != 1:
-        raise NcfreeError(
+        raise InconsistencyError(
             f"pipeline returned {piped.display()}, expected one summand")
     top = piped.summands[0]
     if top.kind != FREE_GROUP or top.weight != 1 or top.parameter != closed:
-        raise NcfreeError(
+        raise InconsistencyError(
             f"pipeline parameter {top.parameter} disagrees with closed form {closed}")
     return closed

@@ -181,15 +181,17 @@ class FreenessReport:
 
 
 def freeness_check(generator_sets: Sequence[Sequence], max_q: int,
-                   moment_source: MomentSource) -> FreenessReport:
+                   cumulant: Callable[[tuple], ExactScalar]) -> FreenessReport:
     """Certify vanishing of mixed cumulants across the generator sets.
 
     Sweeps every tuple of length 2..max_q over the union of the sets that
     draws letters from at least two different sets, and evaluates its free
-    cumulant against ``moment_source``.  Letters should be distinct across
-    sets.  If max_q exceeds ``WORD_LIMIT`` the sweep stops at that length and
-    the report is marked truncated instead of raising.  A max_q below 2
-    would check no tuple at all and raises :class:`ArityError`.
+    cumulant with ``cumulant``, for instance
+    ``lambda w: mixed_cumulant(w, moment_source)``.  Letters should be
+    distinct across sets.  If max_q exceeds ``WORD_LIMIT`` the sweep stops
+    at that length and the report is marked truncated instead of raising.
+    A max_q below 2 would check no tuple at all and raises
+    :class:`ArityError`.
     """
     if max_q < 2:
         raise ArityError(f"a freeness sweep needs max_q >= 2, got {max_q}")
@@ -205,7 +207,7 @@ def freeness_check(generator_sets: Sequence[Sequence], max_q: int,
                 continue
             letters = tuple(letter for _, letter in combo)
             checked += 1
-            value = mixed_cumulant(letters, moment_source)
+            value = cumulant(letters)
             if value != 0:
                 violations.append((letters, value))
     return FreenessReport(

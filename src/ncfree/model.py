@@ -16,13 +16,15 @@ acceptance-critical.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import freeprob, ncpart, ratmat
 from ._caches import memo
-from .errors import ArityError, ConfigError, GroundMismatchError, SizeLimitError
+from .errors import (ArityError, ConfigError, GroundMismatchError,
+                     InconsistencyError, SizeLimitError)
 from .freeprob import FreeProduct, mixed_cumulant
 from .ncpart import NonCrossingPartition
 
@@ -39,13 +41,24 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ModelLetter:
-    """One letter of a model word: an n-by-n matrix, or Z when it is None."""
+    """One letter of a model word: an n-by-n matrix, or Z when it is None.
+
+    Letters compare by value.  Their hash is computed once, at construction,
+    and kept outside the dataclass fields: words key the memo tables
+    (``_tau``, ``rmt._compile_plan``), and a field-derived hash would
+    re-hash every ``Fraction`` entry of the matrix at each lookup.
+    """
     matrix: tuple | None = None
 
     def __post_init__(self):
         if self.matrix is not None:
             # square rows of Fractions, so that letters hash and compare by value
             object.__setattr__(self, "matrix", ratmat.matrix(self.matrix))
+        # () stands in for Z: hash(None) differs between processes before 3.12
+        object.__setattr__(self, "_hash", hash(self.matrix or ()))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_z(self) -> bool:
@@ -79,8 +92,12 @@ def _split_word(word: Sequence[ModelLetter], params: ModelParams
 
 
 def _word_label(word: Sequence[ModelLetter]) -> str:
-    # Z for the generator, b for a matrix letter
-    return "".join("Z" if l.is_z else "b" for l in word)
+    # the CLI's word syntax, Z M[[1,0],[0,0]] Z, which ``cli.parse_word`` reads
+    return " ".join(
+        "Z" if l.is_z else
+        "M[" + ",".join("[" + ",".join(map(str, row)) + "]"
+                        for row in l.matrix) + "]"
+        for l in word)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +246,53 @@ def pi_term(word: Sequence[ModelLetter], pi: NonCrossingPartition,
             f"partition ground {pi.ground} is not the generator set {D}")
     comp = ncpart.pi_tilde(D, E, pi)
     traces = tuple((V, _block_trace(word, V)) for V in comp.blocks)
-    return PiTermBreakdown(n=params.n, pi=pi, pi_tilde=comp, block_traces=traces)
+    try:
+        return PiTermBreakdown(n=params.n, pi=pi, pi_tilde=comp, block_traces=traces)
+    except ConfigError as exc:
+        # pi_tilde was built here from a valid pi, so the complement is at fault
+        raise InconsistencyError(f"complement of {pi} refused: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# free cumulants of words on integer numerators
+
+
+def _numerator_scale(word: Sequence[ModelLetter], n: int) -> int:
+    # n * e, with e the lcm of the word's matrix-entry denominators
+    return n * math.lcm(*(x.denominator for letter in word if not letter.is_z
+                          for row in letter.matrix for x in row))
+
+
+@memo
+def _tau_numerator(word: tuple, n: int, scale: int) -> int:
+    # scale**|word| * tau(word) on a validated word, which must be an integer
+    value = _tau(word, n) * scale ** len(word)
+    if value.denominator != 1:
+        raise InconsistencyError(
+            f"{scale}**{len(word)} * tau({_word_label(word)}) = {value} "
+            f"is not an integer")
+    return value.numerator
+
+
+def word_cumulant(word: Sequence[ModelLetter], params: ModelParams) -> Fraction:
+    """Free cumulant of the letters of a word under the trace ``tau_word``.
+
+    Equals ``freeprob.mixed_cumulant(word, lambda w: tau_word(w, params))``,
+    but the Mobius sum runs on integers.  With e the lcm of the word's
+    matrix-entry denominators, every subword w has an integer numerator
+    N(w) = (n e)**|w| tau(w): each block trace of the factorization has a
+    denominator dividing n e**|V|, and the complement has at most |w|
+    blocks.  Each term of the sum multiplies numerators over a partition of
+    the q letters, so all terms share the denominator (n e)**q, divided out
+    once at the end.  A numerator that is not an integer means the traces or the
+    scale are wrong and raises :class:`InconsistencyError`.
+    """
+    word = tuple(word)
+    _split_word(word, params)
+    scale = _numerator_scale(word, params.n)
+    total = ncpart.moments_to_cumulants(
+        lambda sub: _tau_numerator(sub, params.n, scale), word)
+    return Fraction(total, scale ** len(word))
 
 
 # ---------------------------------------------------------------------------

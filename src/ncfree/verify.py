@@ -304,8 +304,8 @@ def check_mixed_cumulants_vanish(problems: list[str], quick: bool) -> str:
     checked = 0
     for n, mats, max_q in runs:
         params = ModelParams(n)
-        source = functools.cache(lambda w: model.tau_word(w, params))
-        report = freeprob.freeness_check([[Z], mats], max_q, source)
+        report = freeprob.freeness_check(
+            [[Z], mats], max_q, lambda w: model.word_cumulant(w, params))
         checked += report.tuples_checked
         m = len(mats)
         expected = sum((m + 1) ** q - 1 - m ** q for q in range(2, max_q + 1))

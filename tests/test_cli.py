@@ -258,6 +258,42 @@ def test_free_check_refuses_a_vacuous_certificate(capsys, max_q):
     expect_usage_error(capsys, "free", "check", "--n", "2", "--max-q", max_q)
 
 
+def _wrong_numerator_scale(monkeypatch):
+    # e in place of n * e, so tau(E11) * e = 1/2 is no integer
+    scale = model._numerator_scale
+    monkeypatch.setattr(model, "_numerator_scale",
+                        lambda word, n: scale(word, n) // n)
+
+
+def test_free_check_fails_on_a_nonzero_cumulant(capsys, monkeypatch):
+    # a cumulant weight one power of n too high; each violation names its
+    # word in the syntax that --word reads
+    monkeypatch.setattr(model, "_cumulant_weight",
+                        lambda n, d, b: n ** (d - b + 1))
+    ncfree.clear_caches()
+    try:
+        doc = run_json(capsys, "free", "check", "--n", "2", "--max-q", "4",
+                       expect=1)
+        violations = doc["result"]["violations"]
+        assert doc["result"]["certified"] is False and violations
+        for v in violations:
+            assert model._word_label(cli.parse_word(v["word"])) == v["word"]
+        assert len({v["word"] for v in violations}) == len(violations)
+    finally:
+        ncfree.clear_caches()
+
+
+def test_free_check_fails_on_a_non_integral_numerator(capsys, monkeypatch):
+    _wrong_numerator_scale(monkeypatch)
+    ncfree.clear_caches()
+    try:
+        code, out, err = run(capsys, "free", "check", "--n", "2", "--max-q", "2")
+    finally:
+        ncfree.clear_caches()
+    assert (code, out) == (1, "")
+    assert "is not an integer" in err
+
+
 def test_free_product_moment(capsys):
     doc = run_json(capsys, "free", "product-moment", "--n", "2",
                    "--word", "Z M[[1,0],[0,0]] Z M[[1,0],[0,0]]")
@@ -272,6 +308,36 @@ def test_factor_m3(capsys):
     assert run_json(capsys, "factor", "m3", "--n", "2")["result"] == "LF(3/2)"
     assert run_json(capsys, "factor", "m3", "--n", "3")["result"] == "LF(13/9)"
     expect_usage_error(capsys, "factor", "m3", "--n", "1")
+
+
+def expect_inconsistency(capsys, *argv):
+    # the package disagrees with itself: exit 1, no document
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+def test_factor_m3_pipeline_disagreement_exits_1(capsys, monkeypatch):
+    # swapped weights: LZ at 1 - 1/n lands off the closed form
+    def swapped(params):
+        n = params.n
+        return factors.FactorDescription((
+            factors.Summand(Fraction(1, n), factors.SCALAR),
+            factors.Summand(Fraction(n - 1, n), factors.INTEGER_GROUP)))
+
+    monkeypatch.setattr(factors, "vn_z_description", swapped)
+    expect_inconsistency(capsys, "factor", "m3", "--n", "3")
+
+
+def test_pi_term_on_a_broken_complement_exits_1(capsys, monkeypatch):
+    _singleton_complement(monkeypatch)
+    ncfree.clear_caches()
+    try:
+        expect_inconsistency(capsys, "model", "pi-term", "--n", "2",
+                             "--word", "Z M[[1,0],[0,0]] Z M[[1,0],[0,0]] Z",
+                             "--pi", "{1}{3}{5}")
+    finally:
+        ncfree.clear_caches()
 
 
 def test_factor_dykema(capsys):
@@ -428,11 +494,14 @@ def _singleton_complement(monkeypatch):
 
 @pytest.mark.parametrize("defect, check, error, unaffected", [
     (_bend_dykema_pipeline, "factor-parameters",
-     "NcfreeError: pipeline parameter 1501/1000 disagrees with closed form 3/2",
+     "InconsistencyError: pipeline parameter 1501/1000 disagrees with closed form 3/2",
      "loop-bookkeeping"),
     (_singleton_complement, "loop-bookkeeping",
-     "ConfigError: loop count must be >= 0", "factor-parameters"),
-], ids=["bent-dykema-pipeline", "singleton-complement"])
+     "InconsistencyError: complement of", "factor-parameters"),
+    (_wrong_numerator_scale, "mixed-cumulants-vanish",
+     "InconsistencyError: 1**1 * tau(M[[1,0],[0,0]]) = 1/2 is not an integer",
+     "word-trace-dual-route"),
+], ids=["bent-dykema-pipeline", "singleton-complement", "wrong-numerator-scale"])
 def test_verify_reports_a_raising_check_as_failed(capsys, monkeypatch, defect,
                                                   check, error, unaffected):
     # a defect that makes the code under test raise fails its check; the

@@ -262,7 +262,8 @@ def test_mixed_cumulants_of_a_free_pair_vanish():
 def test_freeness_check_certifies_a_free_pair():
     fp = FreeProduct(2)
     a, x = 1, E11
-    report = freeness_check([[a], [x]], 4, fp.moment)
+    report = freeness_check([[a], [x]], 4,
+                            lambda w: mixed_cumulant(w, fp.moment))
     assert report.certified
     assert not report.violations
     assert not report.truncated
@@ -276,7 +277,7 @@ def test_freeness_check_flags_a_dependent_pair():
     e11 = ratmat.matrix_unit(2, 1, 1)
     e22 = ratmat.matrix_unit(2, 2, 2)
     report = freeness_check([[e11], [e22]], 2,
-                            lambda w: ratmat.product_trace(w))
+                            lambda w: mixed_cumulant(w, ratmat.product_trace))
     assert not report.certified
     assert ((e11, e22), Fraction(-1, 4)) in report.violations
 
@@ -285,7 +286,8 @@ def test_freeness_check_reports_truncation(monkeypatch):
     monkeypatch.setattr(freeprob, "WORD_LIMIT", 3)
     fp = FreeProduct(2)
     a, x = 1, E11
-    report = freeness_check([[a], [x]], 12, fp.moment)
+    report = freeness_check([[a], [x]], 12,
+                            lambda w: mixed_cumulant(w, fp.moment))
     assert report.truncated
     assert not report.certified
     assert report.max_q == 12
@@ -298,4 +300,5 @@ def test_freeness_check_refuses_a_vacuous_sweep():
     a, x = 1, E11
     for max_q in (1, 0, -1):
         with pytest.raises(ArityError):
-            freeness_check([[a], [x]], max_q, fp.moment)
+            freeness_check([[a], [x]], max_q,
+                           lambda w: mixed_cumulant(w, fp.moment))

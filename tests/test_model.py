@@ -4,6 +4,7 @@ Closed-form oracles for short words (one or two generator letters) are
 derived by hand; longer words are cross-checked against the centering
 recursion and the partition-sum consistency identities.
 """
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,17 +12,19 @@ from fractions import Fraction
 import pytest
 
 import ncfree
-from ncfree import ncpart, ratmat
+from ncfree import cli, model, ncpart, ratmat
 from ncfree.errors import (
     ArityError,
     ConfigError,
     GroundMismatchError,
+    InconsistencyError,
     SizeLimitError,
 )
 from ncfree.freeprob import (
     FreeProduct,
     free_poisson_cumulant,
     free_poisson_moment,
+    mixed_cumulant,
 )
 from ncfree.model import (
     ModelLetter,
@@ -35,6 +38,7 @@ from ncfree.model import (
     pi_term,
     tau_word,
     tilde_kappa,
+    word_cumulant,
     z_cumulant,
     z_moment,
 )
@@ -74,10 +78,101 @@ def test_letter_validation():
         matrix_letter([[1, 2]])
     with pytest.raises(ConfigError):
         ModelLetter([[1, 2]])
-    # list rows are normalised, so the letter hashes as memo keys need
-    direct = ModelLetter([[1, 0], [0, 0]])
-    assert direct == E11
-    assert hash(direct) == hash(E11)
+    # rows of lists, tuples, ints and Fractions are normalised, so equal
+    # letters hash alike, as memo keys need
+    for rows in ([[1, 0], [0, 0]], ((1, 0), (0, 0)), [(1, 0), [0, 0]],
+                 [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]],
+                 [[Fraction(2, 2), 0], (0, Fraction(0, 5))]):
+        direct = ModelLetter(rows)
+        assert direct == E11
+        assert hash(direct) == hash(E11)
+    half = [[Fraction(1, 2), -3], [Fraction(2, 3), 0]]
+    assert hash(ModelLetter(half)) == hash(ModelLetter(tuple(map(tuple, half))))
+    assert hash(ModelLetter()) == hash(Z)
+
+
+def test_letter_hash_is_stored_outside_the_fields():
+    # the stored hash adds no field, so ==, repr and fields() are as before
+    assert [f.name for f in dataclasses.fields(ModelLetter)] == ["matrix"]
+    assert repr(Z) == "ModelLetter(matrix=None)"
+    assert dataclasses.replace(E11) == E11
+    assert hash(dataclasses.replace(E11)) == hash(E11)
+
+
+def test_equal_letters_share_a_word_trace_entry():
+    # a word rebuilt from equal but distinct letter objects is a memo hit
+    ncfree.clear_caches()
+    word = (Z, E12, Z, E21)
+    first = tau_word(word, P2)
+    info = model._tau.cache_info()
+    rebuilt = tuple(ModelLetter(l.matrix and [list(r) for r in l.matrix])
+                    for l in word)
+    assert all(a is not b for a, b in zip(word[1::2], rebuilt[1::2]))
+    assert tau_word(rebuilt, P2) == first
+    after = model._tau.cache_info()
+    assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+
+
+# letters with non-unit rational entries for the integer cumulant route
+RATIONALS = [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3),
+             Fraction(1), Fraction(0), Fraction(3, 4)]
+
+
+def rational_letters(rng, n, count):
+    return [matrix_letter([[rng.choice(RATIONALS) for _ in range(n)]
+                           for _ in range(n)]) for _ in range(count)]
+
+
+def test_word_cumulant_matches_the_generic_route():
+    # 120 seeded words per n: pure and mixed, up to five letters
+    rng = random.Random(1607)
+    for params in (P2, P3):
+        alphabet = [Z] + rational_letters(rng, params.n, 4)
+        for _ in range(120):
+            word = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+            generic = mixed_cumulant(word, lambda w: tau_word(w, params))
+            assert word_cumulant(word, params) == generic, word
+
+
+def test_word_cumulant_is_exact_on_known_values():
+    half = matrix_letter([[Fraction(1, 2), 0], [0, Fraction(-3)]])
+    # first cumulants are traces, the generator's are n**(q-1)
+    assert word_cumulant((half,), P2) == Fraction(-5, 4)
+    assert word_cumulant((Z, Z, Z), P3) == 9
+    # mixed words vanish: Z is free from the matrices
+    assert word_cumulant((Z, half, Z), P2) == 0
+    assert isinstance(word_cumulant((Z, half), P2), Fraction)
+    with pytest.raises(ArityError):
+        word_cumulant((), P2)
+    with pytest.raises(ConfigError):
+        word_cumulant((Z, matrix_letter(ratmat.identity(3))), P2)
+
+
+def test_word_cumulant_refuses_a_wrong_scale(monkeypatch):
+    # e in place of n * e leaves tau(E11) = 1/2 with no integer numerator
+    scale = model._numerator_scale
+    monkeypatch.setattr(model, "_numerator_scale",
+                        lambda word, n: scale(word, n) // n)
+    ncfree.clear_caches()
+    try:
+        with pytest.raises(InconsistencyError, match="not an integer"):
+            word_cumulant((Z, E11), P2)
+    finally:
+        ncfree.clear_caches()
+
+
+def test_word_labels_parse_back_to_their_words():
+    rng = random.Random(1608)
+    seen = {}
+    for params in (P2, P3):
+        alphabet = [Z] + rational_letters(rng, params.n, 5)
+        for _ in range(100):
+            word = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+            label = model._word_label(word)
+            assert cli.parse_word(label) == word
+            assert seen.setdefault(label, word) == word
+    assert model._word_label((Z, E11, Z)) == "Z M[[1,0],[0,0]] Z"
+    assert model._word_label((Z, E12)) != model._word_label((Z, E21))
 
 
 def test_word_validation():
