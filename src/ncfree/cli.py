@@ -38,6 +38,13 @@ NC_ENUM_LIMIT = 14
 # q=2000, 0.21 s at q=4000, 0.86 s at q=8000; the whole command at the limit
 # with those 2500 arcs took 1.4 s and 113 MB
 NC_PITILDE_LIMIT = 10_000
+# free check builds n**2 letters of n**2 entries, then runs for each swept
+# tuple of length q a Mobius sum over NC(q) and n**3-step matrix products: a
+# cost of n**4 + sum over q of tuples(q) * (Catalan(q) + n**3).  In fresh
+# processes on a two-core machine, costs of 1.7e6 (n=2, --max-q 6), 2.6e6
+# (n=7, --max-q 3) and 3.0e6 (n=3, --max-q 5) took 7.6 s, 3.5 s and 12.9 s;
+# 2.9e7 (n=2, --max-q 7) took 143 s and 3.1e7 (n=10, --max-q 3) 47 s
+FREE_CHECK_BUDGET = 3_000_000
 
 
 def _doc(op: str, params: dict, result, provenance: str) -> dict:
@@ -217,8 +224,23 @@ def _cmd_model_dims(args) -> tuple[dict, int]:
 # free subcommands
 
 
+def _free_check_cost(n: int, max_q: int) -> int:
+    # in FREE_CHECK_BUDGET's units; the sum stops once past the budget, so
+    # a huge --max-q costs a few steps to refuse
+    m = n * n
+    cost = m * m
+    for q in range(2, max_q + 1):
+        if cost > FREE_CHECK_BUDGET:
+            break
+        cost += ((m + 1) ** q - 1 - m ** q) * (ncpart.catalan(q) + n ** 3)
+    return cost
+
+
 def _cmd_free_check(args) -> tuple[dict, int]:
     params_model = ModelParams(args.n)
+    if _free_check_cost(args.n, args.max_q) > FREE_CHECK_BUDGET:
+        raise SizeLimitError(f"free check --n {args.n} --max-q {args.max_q} is "
+                             f"above the cost budget of {FREE_CHECK_BUDGET:,}")
     mats = [model.matrix_letter(ratmat.matrix_unit(args.n, i, j))
             for i in range(1, args.n + 1) for j in range(1, args.n + 1)]
     report = freeprob.freeness_check(

@@ -7,6 +7,7 @@ sympy matrices are heavier than needed, hence this module.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -87,9 +88,19 @@ def product_trace(mats: Sequence) -> Fraction:
     return normalized_trace(acc)
 
 
+# an optionally signed integer, or p/q with an unsigned q; Fraction alone
+# would also take exponents, and 1e100000000 would build a 10**8-digit
+# integer.  Compiled on first use, so that importing costs nothing.
+_RATIONAL = r"([+-]?[0-9]+)(?:/([0-9]+))?"
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or a plain integer literal."""
+    """Parse 'p/q' or a plain integer literal, with surrounding spaces."""
+    match = re.fullmatch(_RATIONAL, text.strip())
+    if match is None:
+        raise WordSyntaxError(f"cannot parse rational {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
+        # a zero denominator, or more digits than int() converts
         raise WordSyntaxError(f"cannot parse rational {text!r}") from exc

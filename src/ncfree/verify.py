@@ -11,13 +11,13 @@ scipy, when it runs.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -32,12 +32,12 @@ __all__ = [
     "CheckResult", "run_all", "EXACT_CHECKS", "RMT_CHECK",
     "check_catalan_narayana", "check_moment_cumulant_transforms",
     "check_complement_dual_route", "check_generator_free_poisson",
-    "check_word_trace_dual_route", "check_mixed_cumulants_vanish",
+    "check_word_trace_routes", "check_mixed_cumulants_vanish",
     "check_loop_bookkeeping", "check_factor_parameters", "check_monte_carlo",
 ]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CheckResult:
     name: str
     ok: bool
@@ -51,6 +51,7 @@ def _check(body: Callable[[list, bool], str]) -> Callable[..., CheckResult]:
     the check short, and never the end of the run."""
     name = body.__name__.removeprefix("check_").replace("_", "-")
 
+    @functools.wraps(body)
     def check(quick: bool = False) -> CheckResult:
         t0 = time.perf_counter()
         problems: list[str] = []
@@ -64,8 +65,6 @@ def _check(body: Callable[[list, bool], str]) -> Callable[..., CheckResult]:
         more = f" (+{len(problems) - 3} more)" if len(problems) > 3 else ""
         return CheckResult(name, False, "; ".join(problems[:3]) + more + elapsed)
 
-    check.__name__ = check.__qualname__ = body.__name__
-    check.__doc__ = body.__doc__
     return check
 
 
@@ -82,6 +81,7 @@ def _letters(n: int, units) -> list[model.ModelLetter]:
 
 
 _LETTERS_N2 = _letters(2, ((1, 1), (1, 2), (2, 1), (2, 2)))
+_E11 = _LETTERS_N2[1]
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +133,11 @@ def check_moment_cumulant_transforms(problems: list[str], quick: bool) -> str:
     for trial in range(functionals):
         letters_full = base if trial % 2 else ("a",) * 8
         given = _random_functional(rng)
-        if trial % 4 < 2:
-            # treat the randoms as moments, derive cumulants, map back
-            derived = functools.cache(lambda w: ncpart.moments_to_cumulants(given, w))
-            back = ncpart.cumulants_to_moments
-        else:
-            derived = functools.cache(lambda w: ncpart.cumulants_to_moments(given, w))
-            back = ncpart.moments_to_cumulants
+        # the randoms are moments in two trials of four, else cumulants
+        forth, back = ncpart.moments_to_cumulants, ncpart.cumulants_to_moments
+        if trial % 4 >= 2:
+            forth, back = back, forth
+        derived = functools.cache(lambda w: forth(given, w))
         for q in range(1, max_q + 1):
             letters = letters_full[:q]
             roundtrips += 1
@@ -171,12 +169,14 @@ _FROZEN_PI = ncpart.NonCrossingPartition(_FROZEN_D, [(2, 8, 11), (5,), (13, 14, 
 _FROZEN_COMP = ((1, 12, 18), (3, 4, 6, 7), (9, 10), (15, 16))
 
 
-def _all_splits(q: int):
-    universe = range(1, q + 1)
-    for mask in range(1, 2 ** q):
-        D = tuple(i for i in universe if mask >> (i - 1) & 1)
-        E = tuple(i for i in universe if not mask >> (i - 1) & 1)
-        yield D, E
+def _split_instances(hi: int):
+    # every split of 1..q, q <= hi, into marked D and unmarked E, with every pi of D
+    for q in range(1, hi + 1):
+        for mask in range(1, 2 ** q):
+            D = tuple(i for i in range(1, q + 1) if mask >> (i - 1) & 1)
+            E = tuple(i for i in range(1, q + 1) if not mask >> (i - 1) & 1)
+            for pi in ncpart.enumerate_nc(D):
+                yield D, E, pi
 
 
 @_check
@@ -186,16 +186,13 @@ def check_complement_dual_route(problems: list[str], quick: bool) -> str:
     samples = 300 if quick else 10_000
     sample_q = 9 if quick else 12
     checked = 0
-    for q in range(1, hi + 1):
-        for D, E in _all_splits(q):
-            for pi in ncpart.enumerate_nc(D):
-                checked += 1
-                direct = ncpart.pi_tilde(D, E, pi)
-                brute = ncpart.pi_tilde_bruteforce(D, E, pi)
-                if direct != brute:
-                    problems.append(
-                        f"routes disagree at q={q}, D={D}, pi={pi}: "
-                        f"{direct} vs {brute}")
+    for D, E, pi in _split_instances(hi):
+        checked += 1
+        direct = ncpart.pi_tilde(D, E, pi)
+        brute = ncpart.pi_tilde_bruteforce(D, E, pi)
+        if direct != brute:
+            problems.append(f"routes disagree at q={len(D) + len(E)}, D={D}, "
+                            f"pi={pi}: {direct} vs {brute}")
     rng = random.Random(VERIFY_SEED + 3)
     for _ in range(samples):
         q = rng.randint(1, sample_q)
@@ -209,11 +206,10 @@ def check_complement_dual_route(problems: list[str], quick: bool) -> str:
         checked += 1
         if ncpart.pi_tilde(D, E, pi) != ncpart.pi_tilde_bruteforce(D, E, pi):
             problems.append(f"routes disagree at sampled q={q}, D={D}, pi={pi}")
-    comp = ncpart.pi_tilde(_FROZEN_D, _FROZEN_E, _FROZEN_PI)
-    if comp.blocks != _FROZEN_COMP:
-        problems.append(f"frozen q=18 instance gave {comp}")
-    if ncpart.pi_tilde_bruteforce(_FROZEN_D, _FROZEN_E, _FROZEN_PI).blocks != _FROZEN_COMP:
-        problems.append("frozen q=18 instance: oracle route disagrees")
+    for route in (ncpart.pi_tilde, ncpart.pi_tilde_bruteforce):
+        comp = route(_FROZEN_D, _FROZEN_E, _FROZEN_PI)
+        if comp.blocks != _FROZEN_COMP:
+            problems.append(f"frozen q=18 instance: {route.__name__} gave {comp}")
     return (f"{checked} instances (exhaustive q<={hi}, "
             f"sampled q<={sample_q}), frozen q=18 instance")
 
@@ -230,12 +226,11 @@ def check_generator_free_poisson(problems: list[str], quick: bool) -> str:
     max_cumulant = 8 if quick else 12
     for n in sizes:
         params = ModelParams(n)
-        rate = Fraction(1, n)
         for q in range(1, max_cumulant + 1):
             k = model.z_cumulant(q, params)
             if k != n ** (q - 1):
                 problems.append(f"n={n}: cumulant {q} is {k}, expected n**(q-1)")
-            if k != freeprob.free_poisson_cumulant(rate, n, q):
+            if k != freeprob.free_poisson_cumulant(Fraction(1, n), n, q):
                 problems.append(f"n={n}: cumulant {q} disagrees with the free "
                                 f"Poisson family")
         # moments m = 1..4 of the generator, then the general family
@@ -244,7 +239,7 @@ def check_generator_free_poisson(problems: list[str], quick: bool) -> str:
             problems.append(f"n={n}: empty moment is not 1")
         for m in range(1, max_order + 1):
             mom = model.z_moment(m, params)
-            if mom != freeprob.free_poisson_moment(rate, n, m):
+            if mom != freeprob.free_poisson_moment(Fraction(1, n), n, m):
                 problems.append(f"n={n}: moment {m} disagrees with the free "
                                 f"Poisson family")
             if m <= len(frozen) and mom != frozen[m - 1]:
@@ -261,34 +256,65 @@ def check_generator_free_poisson(problems: list[str], quick: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# 5. word traces, factorization vs centering
+# 5. word traces, one table of routes
+
+
+def _pi_term_sum(word, params: ModelParams) -> Fraction:
+    # tau_word's summands, rebuilt one at a time through the public pi_term
+    D = tuple(i for i, letter in enumerate(word, start=1) if letter.is_z)
+    return sum(model.pi_term(word, pi, params).value for pi in ncpart.enumerate_nc(D))
+
+
+def _tilde_kappa_sum(word, params: ModelParams) -> Fraction:
+    # the cumulant side: split cumulants of the coupled family over NC(q)
+    sigmas = ncpart.enumerate_nc(range(1, len(word) + 1))
+    return sum(model.tilde_kappa(word, sigma, params) for sigma in sigmas)
+
+
+# (name, route(word, params) -> Fraction, reach(word, params) -> bool), the
+# first row the reference.  tilde_kappa's reach is set by cost on a 2-core
+# machine: n=2 words up to length 3 took 0.05-0.07 s, 4 0.8-1.3 s, 5 20-31 s.
+_TRACE_ROUTES = (
+    ("tau_word", model.tau_word, lambda word, params: True),
+    ("centering_moment", model.centering_moment,
+     lambda word, params: len(word) <= freeprob.WORD_LIMIT),
+    ("pi_term sum", _pi_term_sum, lambda word, params: Z in word),
+    ("tilde_kappa sum", _tilde_kappa_sum, lambda word, params: len(word) <= 3),
+)
 
 
 @_check
-def check_word_trace_dual_route(problems: list[str], quick: bool) -> str:
-    """tau_word against the free product centering algorithm."""
+def check_word_trace_routes(problems: list[str], quick: bool) -> str:
+    """Each route of the table against the reference on one shared corpus."""
     max_len = 4 if quick else 6
     sampled = 100 if quick else 1000
-    p2 = ModelParams(2)
-    words = 0
-    for q in range(1, max_len + 1):
-        for word in itertools.product(_LETTERS_N2, repeat=q):
-            words += 1
-            if model.tau_word(word, p2) != model.centering_moment(word, p2):
-                problems.append(f"routes disagree at n=2 on {_word_label(word)}")
-                if len(problems) > 5:
-                    return ""  # a failed check reports its problems only
-    p3 = ModelParams(3)
+    with_z = 15 if quick else 40
+    p2, p3 = ModelParams(2), ModelParams(3)
+    corpus = [(word, p2) for q in range(1, max_len + 1)
+              for word in itertools.product(_LETTERS_N2, repeat=q)]
     letters3 = _letters(3, ((1, 1), (1, 2), (2, 1), (3, 3)))
     rng = random.Random(VERIFY_SEED + 5)
     for _ in range(sampled):
-        q = rng.randint(1, max_len)
-        word = tuple(rng.choice(letters3) for _ in range(q))
-        words += 1
-        if model.tau_word(word, p3) != model.centering_moment(word, p3):
-            problems.append(f"routes disagree at n=3 on {_word_label(word)}")
-    return (f"{words} words (all length<={max_len} at n=2, "
-            f"{sampled} sampled at n=3)")
+        word = tuple(rng.choice(letters3) for _ in range(rng.randint(1, max_len)))
+        corpus.append((word, p3))
+    rng = random.Random(VERIFY_SEED + 7)
+    for _ in range(with_z):
+        word = [rng.choice(_LETTERS_N2) for _ in range(rng.randint(1, 8))]
+        word[rng.randrange(len(word))] = Z
+        corpus.append((tuple(word), p2))
+    (_, reference, _), *others = _TRACE_ROUTES
+    counts = Counter()
+    for word, params in corpus:
+        want = reference(word, params)
+        for name, route, reaches in others:
+            if reaches(word, params):
+                counts[name] += 1
+                if route(word, params) != want:
+                    problems.append(f"{name} disagrees at n={params.n} on "
+                                    f"{_word_label(word)}")
+    return (f"{len(corpus)} words (all length<={max_len} at n=2, {sampled} "
+            f"sampled at n=3, {with_z} with a Z at n=2), compared: "
+            + ", ".join(f"{name} {counts[name]}" for name, _, _ in others))
 
 
 # ---------------------------------------------------------------------------
@@ -328,39 +354,23 @@ def check_mixed_cumulants_vanish(problems: list[str], quick: bool) -> str:
 @_check
 def check_loop_bookkeeping(problems: list[str], quick: bool) -> str:
     """Loop counts are nonnegative over every split; the frozen instance
-    carries exactly two loops; summands add up to tau_word."""
+    carries exactly two loops."""
     hi = 7 if quick else 10
     checked = 0
-    for q in range(1, hi + 1):
-        for D, E in _all_splits(q):
-            for pi in ncpart.enumerate_nc(D):
-                loops = model.floating_loops(D, E, pi)
-                checked += 1
-                if loops < 0:
-                    problems.append(f"bad loop count {loops} at q={q}, D={D}, pi={pi}")
+    for D, E, pi in _split_instances(hi):
+        loops = model.floating_loops(D, E, pi)
+        checked += 1
+        if loops < 0:
+            problems.append(f"bad loop count {loops} at q={len(D) + len(E)}, "
+                            f"D={D}, pi={pi}")
     loops = model.floating_loops(_FROZEN_D, _FROZEN_E, _FROZEN_PI)
     if loops != 2:
         problems.append(f"frozen q=18 instance has {loops} loops, expected 2")
-    p2 = ModelParams(2)
-    e11 = matrix_letter(ratmat.matrix_unit(2, 1, 1))
-    word18 = tuple(Z if i in _FROZEN_D else e11 for i in range(1, 19))
-    breakdown = model.pi_term(word18, _FROZEN_PI, p2)
+    word18 = tuple(Z if i in _FROZEN_D else _E11 for i in range(1, 19))
+    breakdown = model.pi_term(word18, _FROZEN_PI, ModelParams(2))
     if breakdown.loop_count != 2 or breakdown.pi_tilde.blocks != _FROZEN_COMP:
         problems.append("frozen q=18 breakdown disagrees")
-    rng = random.Random(VERIFY_SEED + 7)
-    sum_words = 15 if quick else 40
-    for _ in range(sum_words):
-        q = rng.randint(1, 8)
-        word = [rng.choice(_LETTERS_N2) for _ in range(q)]
-        word[rng.randrange(q)] = Z
-        word = tuple(word)
-        D2, _ = model._split_word(word, p2)
-        total = sum((model.pi_term(word, pi2, p2).value
-                     for pi2 in ncpart.enumerate_nc(D2)), Fraction(0))
-        if total != model.tau_word(word, p2):
-            problems.append(f"summands do not add to tau on {_word_label(word)}")
-    return (f"{checked} split instances q<={hi}, frozen instance, "
-            f"{sum_words} summand totals")
+    return f"{checked} split instances q<={hi}, frozen instance"
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +393,9 @@ def check_factor_parameters(problems: list[str], quick: bool) -> str:
         if prev is not None and got >= prev:
             problems.append(f"n={n}: parameter did not decrease")
         prev = got
-    if factors.m3_parameter(ModelParams(2)) != Fraction(3, 2):
-        problems.append("n=2 parameter is not 3/2")
-    if factors.m3_parameter(ModelParams(3)) != Fraction(13, 9):
-        problems.append("n=3 parameter is not 13/9")
+    for n, frozen in ((2, Fraction(3, 2)), (3, Fraction(13, 9))):
+        if factors.m3_parameter(ModelParams(n)) != frozen:
+            problems.append(f"n={n} parameter is not {frozen}")
     if prev is not None and prev - 1 >= Fraction(2, hi):
         problems.append(f"n={hi} parameter {prev} too far from the limit 1")
     for d in range(2, 7):
@@ -396,11 +405,9 @@ def check_factor_parameters(problems: list[str], quick: bool) -> str:
             below = factors.dykema_free_product(r, threshold / 2, d)
             if len(at.summands) != 1:
                 problems.append(f"d={d}, r={r}: threshold case not a single factor")
-                continue
-            if len(below.summands) != 2 or below.summands[0].parameter != d:
+            elif len(below.summands) != 2 or below.summands[0].parameter != d:
                 problems.append(f"d={d}, r={r}: sub-threshold shape wrong")
-                continue
-            if at.summands[0].parameter != below.summands[1].parameter:
+            elif at.summands[0].parameter != below.summands[1].parameter:
                 problems.append(f"d={d}, r={r}: branches disagree at the boundary")
     return f"n<={hi} closed form+pipeline+monotone, branch boundary d<=6"
 
@@ -436,15 +443,12 @@ def check_monte_carlo(problems: list[str], quick: bool) -> str:
 
     from . import rmt
 
-    if quick:
-        config = rmt.SimulationConfig(n=2, N=300, trials=8, seed=VERIFY_SEED)
-    else:
-        config = rmt.SimulationConfig(n=2, N=2000, trials=50, seed=VERIFY_SEED)
+    config = rmt.SimulationConfig(n=2, N=300 if quick else 2000,
+                                  trials=8 if quick else 50, seed=VERIFY_SEED)
     params = ModelParams(config.n)
-    e11 = matrix_letter(ratmat.matrix_unit(2, 1, 1))
     x = matrix_letter(ratmat.mat_add(ratmat.matrix_unit(2, 1, 2),
                                      ratmat.matrix_unit(2, 2, 1)))
-    alphabet = [Z, e11, x]
+    alphabet = [Z, _E11, x]
     # length 4 is the shortest at which a word sees G_ji versus G_ij^T for
     # this symmetric alphabet, so both depths go that far
     words = [w for q in range(1, 5) for w in itertools.product(alphabet, repeat=q)]
@@ -477,15 +481,14 @@ def check_monte_carlo(problems: list[str], quick: bool) -> str:
         if np.max(np.abs(row - ref)) > 1e-12 * ref[-1]:
             problems.append(f"trial {trial} spectrum differs from the SVD of X")
 
-    mixed_count = sum(1 for w in words if any(l.is_z for l in w))
+    mixed_count = sum(Z in w for w in words)
     t_quantile = float(stats.t.isf(MC_FAMILY_RATE / (2 * mixed_count),
                                    config.trials - 1))
     worst = 0.0
-    zz_line = ""
     for word, est in zip(words, estimates):
         exact = float(model.tau_word(word, params))
         err = abs(est.value - exact)
-        if any(l.is_z for l in word):
+        if Z in word:
             if est.std_error > 0:
                 worst = max(worst, err / est.std_error)
             bias = len(word) ** 2 / 2 * max(1.0, abs(exact)) / config.N
@@ -496,11 +499,8 @@ def check_monte_carlo(problems: list[str], quick: bool) -> str:
         elif err > 1e-9 or est.std_error != 0.0:
             problems.append(f"matrix word {_word_label(word)} not exact: "
                             f"{est.value} vs {exact}")
-        if word == (Z, Z):
-            zz_line = f"tau(ZZ)={est.value:.5f}+-{est.std_error:.2g}"
 
-    rerun = rmt.SimulationConfig(n=config.n, N=config.N, trials=2,
-                                 seed=config.seed)
+    rerun = dataclasses.replace(config, trials=2)
     again = rmt.sample_free_poisson(rerun)
     if not (again == eigs[:2]).all():
         problems.append("eigenvalue samples are not bit-reproducible")
@@ -510,15 +510,15 @@ def check_monte_carlo(problems: list[str], quick: bool) -> str:
     if not ((joint_eigs == again).all() and joint == first):
         problems.append("the joint walk differs from the separate calls")
     # the spectrum right after the words reuses their memoised draw
-    single = rmt.SimulationConfig(n=config.n, N=config.N, trials=1,
-                                  seed=config.seed)
+    single = dataclasses.replace(config, trials=1)
     rmt.FreePairSampler(single).estimate_words(small)
     if not (rmt.sample_free_poisson(single) == eigs[:1]).all():
         problems.append("eigenvalue samples change when the words' draw is reused")
 
-    return (f"N={config.N}, trials={config.trials}: atom={atom:.4f}, {zz_line}, "
-            f"{len(words)} words, worst z-score {worst:.2f} "
-            f"(t gate {t_quantile:.2f} + bias)")
+    zz = estimates[words.index((Z, Z))]
+    return (f"N={config.N}, trials={config.trials}: atom={atom:.4f}, "
+            f"tau(ZZ)={zz.value:.5f}+-{zz.std_error:.2g}, {len(words)} words, "
+            f"worst z-score {worst:.2f} (t gate {t_quantile:.2f} + bias)")
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +530,7 @@ EXACT_CHECKS = (
     check_moment_cumulant_transforms,
     check_complement_dual_route,
     check_generator_free_poisson,
-    check_word_trace_dual_route,
+    check_word_trace_routes,
     check_mixed_cumulants_vanish,
     check_loop_bookkeeping,
     check_factor_parameters,

@@ -26,7 +26,7 @@ def _acceptance(number, check):
  test_criterion_2_moment_cumulant_transforms,
  test_criterion_3_complement_dual_route,
  test_criterion_4_generator_free_poisson,
- test_criterion_5_word_trace_dual_route,
+ test_criterion_5_word_trace_routes,
  test_criterion_6_mixed_cumulants_vanish,
  test_criterion_7_loop_bookkeeping,
  test_criterion_8_factor_parameters,

@@ -258,6 +258,22 @@ def test_free_check_refuses_a_vacuous_certificate(capsys, max_q):
     expect_usage_error(capsys, "free", "check", "--n", "2", "--max-q", max_q)
 
 
+@pytest.mark.parametrize("n, max_q", [("2", "4"), ("3", "4")])
+def test_free_check_admits_sweeps_within_its_budget(capsys, n, max_q):
+    doc = run_json(capsys, "free", "check", "--n", n, "--max-q", max_q)
+    assert doc["result"]["certified"] is True
+
+
+@pytest.mark.parametrize("n, max_q", [("2", "7"), ("2", "11"), ("10", "3"),
+                                      ("100", "2"), ("10000", "2")])
+def test_free_check_refuses_sweeps_past_its_budget(capsys, n, max_q):
+    # refused before the letters are built: n=100 would hold 10**8 entries
+    t0 = time.perf_counter()
+    err = expect_usage_error(capsys, "free", "check", "--n", n, "--max-q", max_q)
+    assert time.perf_counter() - t0 < 1.0
+    assert "above the cost budget" in err
+
+
 def _wrong_numerator_scale(monkeypatch):
     # e in place of n * e, so tau(E11) * e = 1/2 is no integer
     scale = model._numerator_scale
@@ -449,26 +465,42 @@ def test_verify_all_quick_with_rmt(capsys):
     assert len(doc["result"]["checks"]) == 9
 
 
-def test_verify_detects_a_seeded_weight_bug(capsys):
-    # a wrong cumulant weight must flip the suite red; this guards against
-    # the checks accidentally comparing a quantity to itself
-    original = model._cumulant_weight
+def _bent_cumulant_weight(monkeypatch):
+    # one more than n**(|D| - |pi|) on every partition that merges letters
+    monkeypatch.setattr(model, "_cumulant_weight",
+                        lambda n, d, b: n ** (d - b) + (1 if d > b else 0))
 
-    def bent(n, d_size, block_count):
-        return n ** (d_size - block_count) + (1 if d_size > block_count else 0)
 
-    model._cumulant_weight = bent
+def _generator_block_weight(monkeypatch):
+    # tilde_kappa weighs each pure-generator block n**|B|, not n**(|B|-1)
+    original = model.tilde_kappa
+
+    def bent(word, sigma, params):
+        pure = sum(all(word[i - 1].is_z for i in block) for block in sigma.blocks)
+        return original(word, sigma, params) * params.n ** pure
+
+    monkeypatch.setattr(model, "tilde_kappa", bent)
+
+
+@pytest.mark.parametrize("defect, check, detail", [
+    (_bent_cumulant_weight, "word-trace-routes", "centering_moment disagrees"),
+    (_generator_block_weight, "word-trace-routes", "tilde_kappa sum disagrees"),
+], ids=["cumulant-weight", "generator-block-weight"])
+def test_verify_detects_a_seeded_weight_bug(capsys, monkeypatch, defect, check,
+                                            detail):
+    # a wrong weight must flip the suite red; this guards against the
+    # checks accidentally comparing a quantity to itself
+    defect(monkeypatch)
     ncfree.clear_caches()
     try:
-        code, out, _ = run(capsys, "verify", "all", "--quick")
-        assert code == 1
-        doc = json.loads(out)
-        assert doc["result"]["ok"] is False
-        bad = [c["name"] for c in doc["result"]["checks"] if not c["ok"]]
-        assert "word-trace-dual-route" in bad
+        doc = run_json(capsys, "verify", "all", "--quick", expect=1)
     finally:
-        model._cumulant_weight = original
+        monkeypatch.undo()
         ncfree.clear_caches()
+    assert doc["result"]["ok"] is False
+    checks = {c["name"]: c for c in doc["result"]["checks"]}
+    assert not checks[check]["ok"]
+    assert detail in checks[check]["detail"]
     code, _, _ = run(capsys, "verify", "all", "--quick")
     assert code == 0
 
@@ -500,7 +532,7 @@ def _singleton_complement(monkeypatch):
      "InconsistencyError: complement of", "factor-parameters"),
     (_wrong_numerator_scale, "mixed-cumulants-vanish",
      "InconsistencyError: 1**1 * tau(M[[1,0],[0,0]]) = 1/2 is not an integer",
-     "word-trace-dual-route"),
+     "word-trace-routes"),
 ], ids=["bent-dykema-pipeline", "singleton-complement", "wrong-numerator-scale"])
 def test_verify_reports_a_raising_check_as_failed(capsys, monkeypatch, defect,
                                                   check, error, unaffected):

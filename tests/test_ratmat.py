@@ -98,6 +98,6 @@ def test_parse_rational():
     assert ratmat.parse_rational("3/4") == Fraction(3, 4)
     assert ratmat.parse_rational(" -2 ") == -2
     assert ratmat.parse_rational("0") == 0
-    for bad in ["", "x", "1/0", "1//2"]:
+    for bad in ["", "x", "1/0", "1//2", "1e100000000", "0.5"]:
         with pytest.raises(WordSyntaxError):
             ratmat.parse_rational(bad)
