@@ -44,9 +44,10 @@ class ModelLetter:
     """One letter of a model word: an n-by-n matrix, or Z when it is None.
 
     Letters compare by value.  Their hash is computed once, at construction,
-    and kept outside the dataclass fields: words key the memo tables
-    (``_tau``, ``rmt._compile_plan``), and a field-derived hash would
-    re-hash every ``Fraction`` entry of the matrix at each lookup.
+    and kept outside the dataclass fields: words and letter tuples key the
+    memo tables (``_tau``, ``_tau_numerator``, ``_product_trace``,
+    ``_matrix_cumulant``, ``rmt._compile_plan``), and a field-derived hash
+    would re-hash every ``Fraction`` entry of the matrix at each lookup.
     """
     matrix: tuple | None = None
 
@@ -142,14 +143,16 @@ def z_moment(m: int, params: ModelParams) -> Fraction:
 # word traces by partition factorization
 
 @memo
-def _product_trace(mats: tuple) -> Fraction:
-    # looks ratmat.product_trace up at call time, so wrapping it sees these calls
-    return ratmat.product_trace(mats)
+def _product_trace(letters: tuple) -> Fraction:
+    # normalized trace of a tuple of matrix letters, keyed on the letters so
+    # that a lookup reads each stored hash; looks ratmat.product_trace up at
+    # call time, so wrapping it sees these calls
+    return ratmat.product_trace(tuple(letter.matrix for letter in letters))
 
 
 def _block_trace(word: Sequence[ModelLetter], positions: Sequence[int]) -> Fraction:
     """Normalized trace of the matrix letters at the given 1-based positions."""
-    return _product_trace(tuple(word[j - 1].matrix for j in positions))
+    return _product_trace(tuple(word[j - 1] for j in positions))
 
 
 def _cumulant_weight(n: int, d_size: int, block_count: int) -> int:
@@ -166,17 +169,23 @@ def tau_word(word: Sequence[ModelLetter], params: ModelParams) -> Fraction:
     positions.  Adjacent matrix letters are not merged beforehand; the
     grouping handles them.  The empty word has trace 1.  The enumerator of
     NC(|D|) refuses more than ``ncpart.ENUMERATION_LIMIT`` generator letters.
+
+    The word is validated only when the memo misses; an unhashable letter
+    fails the lookup itself, and is then validated to raise ConfigError.
     """
     word = tuple(word)
-    _split_word(word, params)
-    return _tau(word, params.n)
+    try:
+        return _tau(word, params.n)
+    except TypeError:
+        _split_word(word, params)
+        raise
 
 
 @memo
 def _tau(word: tuple, n: int) -> Fraction:
-    # the partition sum of tau_word on a validated word
-    D = tuple(i for i, letter in enumerate(word, start=1) if letter.is_z)
-    E = tuple(i for i, letter in enumerate(word, start=1) if not letter.is_z)
+    # the partition sum of tau_word; a miss validates the word, and an error
+    # leaves no entry, so a bad word raises on every call
+    D, E = _split_word(word, ModelParams(n))
     if not D:
         return _block_trace(word, E) if E else Fraction(1)
     total = Fraction(0)
@@ -299,10 +308,11 @@ def word_cumulant(word: Sequence[ModelLetter], params: ModelParams) -> Fraction:
 # split cumulants of the coupled family
 
 
-def _matrix_cumulant(word: Sequence[ModelLetter],
-                     positions: Sequence[int]) -> Fraction:
-    mats = tuple(word[j - 1].matrix for j in positions)
-    return Fraction(mixed_cumulant(mats, _product_trace))
+@memo
+def _matrix_cumulant(letters: tuple) -> Fraction:
+    # free cumulant of matrix letters under the normalized trace; looks
+    # mixed_cumulant up at call time, so wrapping it sees these calls
+    return Fraction(mixed_cumulant(letters, _product_trace))
 
 
 def tilde_kappa(word: Sequence[ModelLetter], sigma: NonCrossingPartition,
@@ -328,7 +338,7 @@ def tilde_kappa(word: Sequence[ModelLetter], sigma: NonCrossingPartition,
         if all(x in dset for x in block):
             value *= params.n ** (len(block) - 1)
         elif all(x in eset for x in block):
-            value *= _matrix_cumulant(word, block)
+            value *= _matrix_cumulant(tuple(word[j - 1] for j in block))
         else:
             return Fraction(0)
     return value

@@ -22,9 +22,11 @@ the trace an exact 0, and any other W(c) is summed once per trial.  The
 words of a batch share their head products W(c_1) ... W(c_{k-1}): each
 distinct head is multiplied once per trial, and each word then costs one
 O(M^2) trace.  Each word's factors c_1, ..., c_k are compiled once per
-(word, n) in exact arithmetic and memoised under the package's memo policy.
-The spectrum of A likewise comes from the M-by-M Gram
-X^T X = sum_i G_ii, which shares the nonzero eigenvalues of X X^T.
+(word, n) in exact arithmetic and memoised under the package's memo policy:
+the word is validated when the memo misses, and a bad word leaves no entry,
+so it raises ``ConfigError`` on every call.  The spectrum of A likewise
+comes from the M-by-M Gram X^T X = sum_i G_ii, which shares the nonzero
+eigenvalues of X X^T.
 
 Each trial draws X once.  :func:`_trial_draw` returns its row blocks and
 diagonal Gram blocks G_ii, and the word traces and the spectrum of the same
@@ -221,21 +223,14 @@ def outside_support_fraction(eigenvalues: np.ndarray,
 # mixed words through the Gram blocks of X
 
 
-def _word_plan(word: Sequence[ModelLetter], n: int):
-    """Validate a word and return its compiled plan (see :func:`_compile_plan`).
-
-    Validation runs on every call, so bad input raises ``ConfigError``
-    before it reaches the memo; the compiled plans are memoised per
-    (word, n).
-    """
-    word = tuple(word)
-    _split_word(word, ModelParams(n))
-    return _compile_plan(word, n)
-
-
 @memo
 def _compile_plan(word: tuple[ModelLetter, ...], n: int):
     """Compile a word into its exact value or the factors c_1, ..., c_k.
+
+    The word is validated only when the memo misses, and an error leaves no
+    entry, so a bad word raises ``ConfigError`` on every call.  An
+    unhashable letter fails the lookup itself, before this body runs;
+    :meth:`FreePairSampler._walk` then validates the word.
 
     Matrix-only words evaluate exactly to a float.  A word containing the
     generator is cyclically rotated (the trace is invariant) to start at its
@@ -244,7 +239,8 @@ def _compile_plan(word: tuple[ModelLetter, ...], n: int):
     when there are none.  The factors come back as nested float tuples, so
     equal plans hash alike.
     """
-    if not any(l.is_z for l in word):
+    D, _ = _split_word(word, ModelParams(n))
+    if not D:
         if not word:
             return 1.0
         return float(ratmat.product_trace(tuple(l.matrix for l in word)))
@@ -382,7 +378,14 @@ class FreePairSampler:
     def _walk(self, words, spectra: bool):
         cfg = self.config
         T = cfg.trials
-        plans = [_word_plan(w, cfg.n) for w in words]
+        words = [tuple(w) for w in words]
+        try:
+            plans = [_compile_plan(w, cfg.n) for w in words]
+        except TypeError:
+            # an unhashable letter fails the lookup before validation runs
+            for w in words:
+                _split_word(w, ModelParams(cfg.n))
+            raise
         mixed = list(dict.fromkeys(p for p in plans if isinstance(p, tuple)))
         column = {p: j for j, p in enumerate(mixed)}
 

@@ -176,10 +176,40 @@ def test_word_labels_parse_back_to_their_words():
 
 
 def test_word_validation():
-    with pytest.raises(ConfigError):
-        tau_word((Z, matrix_letter(ratmat.identity(3))), P2)
-    with pytest.raises(ConfigError):
-        tau_word((Z, "x"), P2)
+    # an error is never memoised, so each bad word raises on every call; an
+    # unhashable letter fails the memo lookup and is validated after it
+    for bad in [(Z, matrix_letter(ratmat.identity(3))), (Z, "x"), (Z, ["x"])]:
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                tau_word(bad, P2)
+
+
+def test_memo_hits_skip_validation(monkeypatch):
+    # word-keyed memos validate a word on its miss only
+    from ncfree import rmt
+
+    checked = []
+
+    def counting(split):
+        def counted(word, params):
+            checked.append(word)
+            return split(word, params)
+        return counted
+
+    monkeypatch.setattr(model, "_split_word", counting(model._split_word))
+    monkeypatch.setattr(rmt, "_split_word", counting(rmt._split_word))
+    ncfree.clear_caches()
+    word = (Z, E12, Z, E21)
+    first = tau_word(word, P2)
+    assert checked == [word]
+    assert tau_word(list(word), P2) == first
+    assert checked == [word]
+    sampler = rmt.FreePairSampler(rmt.SimulationConfig(n=2, N=120, trials=1))
+    batch = [[Z, E11], [E12, Z, E21]]
+    estimates = sampler.estimate_words(batch)
+    assert len(checked) == 3
+    assert sampler.estimate_words(batch) == estimates
+    assert len(checked) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -408,8 +408,9 @@ def test_word_validation():
         sampler.estimate((Z, matrix_letter(ratmat.identity(3))))
     with pytest.raises(ConfigError):
         sampler.estimate(("Z",))
-    # validation runs before the plan memo, so an unhashable letter is a
-    # ConfigError too, not a TypeError from hashing
+    # a plan memo miss validates the word; an unhashable letter fails the
+    # lookup itself and is then validated, so it is a ConfigError too, not
+    # a TypeError from hashing
     with pytest.raises(ConfigError):
         sampler.estimate_words([[Z, "x"]])
     with pytest.raises(ConfigError):
