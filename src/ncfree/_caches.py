@@ -3,12 +3,12 @@
 Every memo (partition tables, Mobius values, identity matrices, block
 traces, word traces and their integer numerators, matrix-block cumulants,
 compiled Monte Carlo word plans, the centering table ``freeprob._moment``,
-the Monte Carlo trial draw) is a function decorated with :func:`memo`; no module caches outside this registry, so
-``cache_info()`` of the tables in ``_MEMOS`` sees them all.  Arguments must
-be hashable; the tables grow without a bound for the life of the process,
-or until :func:`clear_all` empties every one of them at once.  Tests that
-monkeypatch a formula call ``clear_all`` first, otherwise stale entries
-would mask the patch.
+the Monte Carlo trial draw) is a function decorated with :func:`memo`; no
+module caches outside this registry, so ``cache_info()`` of the tables in
+``_MEMOS`` sees them all.  Arguments must be hashable; the tables grow
+without a bound for the life of the process, or until :func:`clear_all`
+empties every one of them at once.  Tests that monkeypatch a formula call
+``clear_all`` first, otherwise stale entries would mask the patch.
 
 Word-keyed tables (``model._tau``, ``rmt._compile_plan``) validate a word
 inside the memoised body, so only a miss pays for it, and a call that

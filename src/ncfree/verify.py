@@ -273,8 +273,8 @@ def _tilde_kappa_sum(word, params: ModelParams) -> Fraction:
 
 # (name, route(word, params) -> Fraction, reach(word, params) -> bool), the
 # first row the reference.  tilde_kappa's reach is set by cost on a 2-core
-# machine, from empty memos: the 258 n=2 words up to length 3 took 0.05 s,
-# the 1,296 of length 4 0.46 s, and the 7,776 of length 5 8.3 s.
+# machine, from empty memos: the 216 n=2 words of length 3 took 0.05 s, the
+# 1,296 of length 4 0.46 s, and the 7,776 of length 5 8.3 s.
 _TRACE_ROUTES = (
     ("tau_word", model.tau_word, lambda word, params: True),
     ("centering_moment", model.centering_moment,
