@@ -345,8 +345,8 @@ def _cmd_verify_all(args) -> tuple[dict, int]:
         log=lambda line: print(line, file=sys.stderr, flush=True))
     ok = all(r.ok for r in results)
     result = {"ok": ok,
-              "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail}
-                         for r in results]}
+              "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail,
+                          "seconds": round(r.seconds, 3)} for r in results]}
     params = {"quick": args.quick, "rmt": args.rmt}
     provenance = MONTECARLO if args.rmt else EXACT
     return _doc("verify all", params, result, provenance), 0 if ok else 1

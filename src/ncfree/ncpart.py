@@ -19,6 +19,15 @@ of the restricted partition.  Each full lattice contributes the closed form
 mu(bottom, top) = (-1)**(t-1) * Cat(t-1) (Kreweras 1972); the test suite
 checks it against the defining recursion.  Every sum over NC(k) goes through
 one open-block stack walk, which refuses k above ``ENUMERATION_LIMIT``.
+
+``moments_to_cumulants`` evaluates its functional once per distinct block:
+NC(5) has 126 block occurrences but 31 distinct blocks.  Up to
+``_CACHE_LIMIT`` it reads one memoised table per q, ``_mobius_table``, which
+holds the distinct position blocks of NC(q) and, per partition, mu(pi, 1)
+and the indices of its blocks; above it the walk streams with a per-call
+map from block to value.  ``cumulants_to_moments`` and
+``partitioned_forms_check`` keep the plain per-partition walk, so they stay
+independent checks of that table.
 """
 from __future__ import annotations
 
@@ -44,7 +53,8 @@ PartitionFunctional = Callable[[tuple], ExactScalar]
 # the largest ground set any enumeration over NC(k) accepts
 ENUMERATION_LIMIT = 16
 
-# partitions of [k] are cached up to this size; larger ones stream
+# the NC(k) tables (partitions, the Mobius-sum index) are cached up to this
+# size; larger ones stream
 _CACHE_LIMIT = 12
 
 _BLOCK_RE = re.compile(r"\{([^{}]*)\}")
@@ -485,17 +495,24 @@ def mobius(pi: NonCrossingPartition, sigma: NonCrossingPartition) -> int:
     return _mobius_positions(pi.blocks, sigma.blocks)
 
 
-def iter_partitions_with_mobius(
-        q: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
-    """Yield (position blocks, mu(partition, whole)) over NC(q)."""
-    if q <= _CACHE_LIMIT:
-        return iter(_cached_with_mobius(q))
-    return ((blocks, _mu_to_top(blocks, q)) for blocks in _iter_partitions(q))
-
-
 @memo
-def _cached_with_mobius(q: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
-    return tuple((blocks, _mu_to_top(blocks, q)) for blocks in _cached_partitions(q))
+def _mobius_table(q: int) -> tuple[tuple[tuple[int, ...], ...],
+                                   tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """NC(q) indexed for Mobius sums: (blocks, mus, rows).
+
+    ``blocks`` lists the distinct position blocks of NC(q) in the order the
+    walk first meets them; for the i-th partition, ``mus[i]`` is
+    mu(partition, whole) and ``rows[i]`` the indices of its blocks in
+    ``blocks``.  Built from the walk itself, so the partition table of
+    ``_cached_partitions`` is neither needed nor kept.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    mus = []
+    rows = []
+    for part in _gen_partitions(q):
+        mus.append(_mu_to_top(part, q))
+        rows.append(tuple([index.setdefault(b, len(index)) for b in part]))
+    return tuple(index), tuple(mus), tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +539,39 @@ def moments_to_cumulants(phi: PartitionFunctional, letters: Sequence) -> ExactSc
 
     Mobius inversion against the top element: sum over all non-crossing
     partitions of mu(pi, whole) times the multiplicative extension of phi.
+    phi must be a pure function of its tuple.  It is called once per
+    distinct block of NC(q), 2**q - 1 times (every nonempty set of
+    positions is a block of some non-crossing partition), in table order:
+    the order in which the partition walk first meets the blocks.  Each
+    value is reused wherever its block occurs.
+
+    The Catalan numbers are the moments of the free Poisson law of rate 1,
+    whose free cumulants are all 1:
+
+    >>> moments = {1: 1, 2: 2, 3: 5, 4: 14}
+    >>> [moments_to_cumulants(lambda w: moments[len(w)], "x" * q)
+    ...  for q in range(1, 5)]
+    [1, 1, 1, 1]
     """
     q = len(letters)
     if q == 0:
         raise ArityError("cumulant of an empty tuple is undefined")
     total: ExactScalar = 0
-    for blocks, mu in iter_partitions_with_mobius(q):
-        term: ExactScalar = mu
-        for b in blocks:
-            term *= phi(tuple(letters[i] for i in b))
+    if q <= _CACHE_LIMIT:
+        blocks, mus, rows = _mobius_table(q)
+        values = [phi(tuple([letters[i] for i in b])) for b in blocks]
+        at = values.__getitem__
+        for mu, row in zip(mus, rows):
+            total += math.prod(map(at, row), start=mu)
+        return total
+    seen: dict[tuple[int, ...], ExactScalar] = {}
+    for part in _iter_partitions(q):
+        term: ExactScalar = _mu_to_top(part, q)
+        for b in part:
+            value = seen.get(b)
+            if value is None:
+                value = seen[b] = phi(tuple([letters[i] for i in b]))
+            term *= value
         total += term
     return total
 

@@ -42,6 +42,8 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+    # wall time of the check
+    seconds: float
 
 
 def _check(body: Callable[[list, bool], str]) -> Callable[..., CheckResult]:
@@ -59,11 +61,11 @@ def _check(body: Callable[[list, bool], str]) -> Callable[..., CheckResult]:
             summary = body(problems, quick)
         except Exception as exc:
             problems.insert(0, f"{type(exc).__name__}: {exc}")
-        elapsed = f" [{time.perf_counter() - t0:.1f}s]"
+        seconds = time.perf_counter() - t0
         if not problems:
-            return CheckResult(name, True, summary + elapsed)
+            return CheckResult(name, True, summary, seconds)
         more = f" (+{len(problems) - 3} more)" if len(problems) > 3 else ""
-        return CheckResult(name, False, "; ".join(problems[:3]) + more + elapsed)
+        return CheckResult(name, False, "; ".join(problems[:3]) + more, seconds)
 
     return check
 
@@ -179,9 +181,32 @@ def _split_instances(hi: int):
                 yield D, E, pi
 
 
+def _kreweras_problems(pi, comp) -> list[str]:
+    # K(p) is the one partition of the duals, each dual right after its
+    # element, whose union with p is non-crossing and has |ground| + 1
+    # blocks; tested by the stack scan and a count, not by re-running the
+    # complement construction, for p = pi and for pi joined with comp
+    whole = ncpart.NonCrossingPartition._raw(
+        tuple(sorted(pi.ground + comp.ground)), tuple(sorted(pi.blocks + comp.blocks)))
+    problems = []
+    for p in (pi, whole):
+        k = ncpart.kreweras_complement(p)
+        covers = sorted(x for b in k.blocks for x in b) == list(p.ground)
+        rank = {x: i for i, x in enumerate(p.ground)}
+        union = ([tuple(2 * rank[x] for x in b) for b in p.blocks]
+                 + [tuple(2 * rank[x] + 1 for x in b) for b in k.blocks])
+        if not (covers and len(p) + len(k) == len(p.ground) + 1
+                and ncpart.is_noncrossing(union)):
+            problems.append(f"Kreweras complement of {p} is {k}")
+    return problems
+
+
 @_check
 def check_complement_dual_route(problems: list[str], quick: bool) -> str:
-    """Direct complement construction against the exhaustive-search oracle."""
+    """Direct complement construction against the exhaustive-search oracle.
+
+    Each instance also checks the public Kreweras complement by its
+    defining properties, of pi and of pi joined with its complement."""
     hi = 5 if quick else 8
     samples = 300 if quick else 10_000
     sample_q = 9 if quick else 12
@@ -193,6 +218,7 @@ def check_complement_dual_route(problems: list[str], quick: bool) -> str:
         if direct != brute:
             problems.append(f"routes disagree at q={len(D) + len(E)}, D={D}, "
                             f"pi={pi}: {direct} vs {brute}")
+        problems += _kreweras_problems(pi, brute)
     rng = random.Random(VERIFY_SEED + 3)
     for _ in range(samples):
         q = rng.randint(1, sample_q)
@@ -204,12 +230,16 @@ def check_complement_dual_route(problems: list[str], quick: bool) -> str:
         (pi_blocks,) = ncpart._relabel((blocks,), D)
         pi = ncpart.NonCrossingPartition._raw(D, pi_blocks)
         checked += 1
-        if ncpart.pi_tilde(D, E, pi) != ncpart.pi_tilde_bruteforce(D, E, pi):
+        brute = ncpart.pi_tilde_bruteforce(D, E, pi)
+        if ncpart.pi_tilde(D, E, pi) != brute:
             problems.append(f"routes disagree at sampled q={q}, D={D}, pi={pi}")
+        problems += _kreweras_problems(pi, brute)
     for route in (ncpart.pi_tilde, ncpart.pi_tilde_bruteforce):
         comp = route(_FROZEN_D, _FROZEN_E, _FROZEN_PI)
         if comp.blocks != _FROZEN_COMP:
             problems.append(f"frozen q=18 instance: {route.__name__} gave {comp}")
+    problems += _kreweras_problems(
+        _FROZEN_PI, ncpart.NonCrossingPartition(_FROZEN_E, _FROZEN_COMP))
     return (f"{checked} instances (exhaustive q<={hi}, "
             f"sampled q<={sample_q}), frozen q=18 instance")
 
@@ -548,5 +578,6 @@ def run_all(quick: bool = False, include_rmt: bool = False,
         result = check(quick)
         results.append(result)
         if log is not None:
-            log(f"{'ok  ' if result.ok else 'FAIL'} {result.name}: {result.detail}")
+            log(f"{'ok  ' if result.ok else 'FAIL'} {result.name}: {result.detail} "
+                f"[{result.seconds:.1f}s]")
     return results

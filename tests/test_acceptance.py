@@ -15,7 +15,7 @@ def _acceptance(number, check):
         result = check()
         status = "PASS" if result.ok else "FAIL"
         print(f"ACCEPTANCE {number}/{len(CHECKS)} {result.name}: {status} "
-              f"({result.detail})")
+              f"({result.detail}) [{result.seconds:.1f}s]")
         assert result.ok, f"{result.name}: {result.detail}"
     return test
 

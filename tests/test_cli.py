@@ -456,6 +456,9 @@ def test_verify_all_quick(capsys):
     checks = doc["result"]["checks"]
     assert len(checks) == 8
     assert all(c["ok"] for c in checks)
+    # the wall time is its own field, not a suffix of the detail
+    assert all(c["seconds"] >= 0 and not c["detail"].endswith("s]")
+               for c in checks)
 
 
 def test_verify_all_quick_with_rmt(capsys):

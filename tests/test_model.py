@@ -273,7 +273,7 @@ def test_sums_without_mobius_weights_build_no_mobius_table():
     z_moment(8, P3)
     free_poisson_moment(Fraction(1, 2), 2, 8)
     ncpart.cumulants_to_moments(lambda w: Fraction(len(w)), tuple("abcdefgh"))
-    assert ncpart._cached_with_mobius.cache_info().currsize == 0
+    assert ncpart._mobius_table.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

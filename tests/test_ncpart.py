@@ -132,7 +132,6 @@ _ABOVE = ncpart.ENUMERATION_LIMIT + 1
     lambda: ncpart.enumerate_nc(range(1, _ABOVE + 1)),
     lambda: ncpart.pi_tilde_bruteforce(
         (1,), range(2, _ABOVE + 2), NonCrossingPartition.whole((1,))),
-    lambda: ncpart.iter_partitions_with_mobius(_ABOVE),
     lambda: ncpart.moments_to_cumulants(lambda w: 1, ("x",) * _ABOVE),
     lambda: ncpart.cumulants_to_moments(lambda w: 1, ("x",) * _ABOVE),
     lambda: ncpart.partitioned_forms_check(
@@ -140,7 +139,7 @@ _ABOVE = ncpart.ENUMERATION_LIMIT + 1
         NonCrossingPartition.whole(range(1, _ABOVE + 1)), ("x",) * _ABOVE),
     lambda: freeprob.free_poisson_moment(1, 1, _ABOVE),
     lambda: model.tau_word((model.Z,) * _ABOVE, model.ModelParams(2)),
-], ids=["enumerate_nc", "pi_tilde_bruteforce", "iter_partitions_with_mobius",
+], ids=["enumerate_nc", "pi_tilde_bruteforce",
         "moments_to_cumulants", "cumulants_to_moments",
         "partitioned_forms_check", "free_poisson_moment", "tau_word"])
 def test_every_sum_over_nc_refuses_a_ground_above_the_limit(call):
@@ -498,6 +497,79 @@ def test_partitioned_forms_on_random_functional():
     for q in range(1, 6):
         for tau in ncpart.enumerate_nc(range(1, q + 1)):
             assert ncpart.partitioned_forms_check(phi, kappa, tau, letters[:q])
+
+
+def _counting(values):
+    """A functional that records each tuple it is called on."""
+    calls = []
+
+    def phi(word):
+        calls.append(word)
+        return values(word)
+    return phi, calls
+
+
+def _per_partition_sum(phi, letters):
+    # the plain Mobius inversion, one phi call per block occurrence
+    g = tuple(range(1, len(letters) + 1))
+    top = NonCrossingPartition.whole(g)
+    total = 0
+    for blocks in ncpart._iter_partitions(len(g)):
+        pi = NonCrossingPartition(g, [[i + 1 for i in b] for b in blocks])
+        term = ncpart.mobius(pi, top)
+        for b in blocks:
+            term *= phi(tuple(letters[i] for i in b))
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_moments_to_cumulants_calls_phi_once_per_distinct_block(q):
+    # every nonempty subset of positions is a block of some non-crossing
+    # partition, so the distinct blocks number 2**q - 1
+    phi, calls = _counting(lambda w: 1)
+    letters = tuple(range(q))
+    ncpart.moments_to_cumulants(phi, letters)
+    assert len(calls) == 2 ** q - 1
+    assert len(set(calls)) == len(calls)
+
+
+def test_moments_to_cumulants_matches_the_per_partition_sum():
+    rng = random.Random(19)
+    for trial in range(6):
+        values = functools.cache(
+            lambda w: Fraction(rng.randint(-50, 50), rng.randint(1, 20)))
+        letters = tuple("abcdefgh") if trial % 2 else ("a",) * 8
+        for q in range(1, 9):
+            assert ncpart.moments_to_cumulants(values, letters[:q]) == \
+                _per_partition_sum(values, letters[:q])
+
+
+def test_streamed_cumulants_match_the_table(monkeypatch):
+    # above _CACHE_LIMIT the walk streams: same values, same calls in the
+    # same order, and no table is built
+    rng = random.Random(23)
+    values = functools.cache(
+        lambda w: Fraction(rng.randint(-50, 50), rng.randint(1, 20)))
+    letters = tuple("abcdefg")
+    ncpart._mobius_table.cache_clear()
+    tabled = []
+    for q in range(1, 8):
+        phi, calls = _counting(values)
+        tabled.append((ncpart.moments_to_cumulants(phi, letters[:q]), calls))
+    ncpart._mobius_table.cache_clear()
+    monkeypatch.setattr(ncpart, "_CACHE_LIMIT", 0)
+    for q in range(1, 8):
+        phi, calls = _counting(values)
+        assert (ncpart.moments_to_cumulants(phi, letters[:q]), calls) == tabled[q - 1]
+    assert ncpart._mobius_table.cache_info().currsize == 0
+
+
+def test_moments_to_cumulants_refuses_before_any_call():
+    phi, calls = _counting(lambda w: 1)
+    with pytest.raises(SizeLimitError):
+        ncpart.moments_to_cumulants(phi, ("x",) * _ABOVE)
+    assert calls == []
 
 
 def test_multiplicative_extension_concrete():
