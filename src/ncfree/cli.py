@@ -41,9 +41,10 @@ NC_PITILDE_LIMIT = 10_000
 # free check builds n**2 letters of n**2 entries, then runs for each swept
 # tuple of length q a Mobius sum over NC(q) and n**3-step matrix products: a
 # cost of n**4 + sum over q of tuples(q) * (Catalan(q) + n**3).  In fresh
-# processes on a two-core machine, costs of 1.7e6 (n=2, --max-q 6), 2.6e6
-# (n=7, --max-q 3) and 3.0e6 (n=3, --max-q 5) took 7.6 s, 3.5 s and 12.9 s;
-# 2.9e7 (n=2, --max-q 7) took 143 s and 3.1e7 (n=10, --max-q 3) 47 s
+# processes on a two-core machine, with the products on integer numerators,
+# costs of 1.7e6 (n=2, --max-q 6), 2.6e6 (n=7, --max-q 3) and 3.0e6 (n=3,
+# --max-q 5) took 1.6 s, 0.6 s and 3.1 s; with the budget lifted, 2.9e7
+# (n=2, --max-q 7) took 17 s and 3.1e7 (n=10, --max-q 3) 2.5 s
 FREE_CHECK_BUDGET = 3_000_000
 
 

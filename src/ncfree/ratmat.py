@@ -4,11 +4,18 @@ Small helper layer: the moment model only ever needs products, sums, and
 traces of n-by-n matrices with Fraction entries, and the matrices must be
 hashable so they can key memo tables.  numpy cannot hold exact rationals and
 sympy matrices are heavier than needed, hence this module.
+
+Products run on integer numerators: each operand is scaled by the lcm of its
+entry denominators, the plain ``int`` matrices are multiplied, and one
+``Fraction`` is built per result entry (per trace in ``product_trace``)
+instead of one per multiply-add.
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._caches import memo
@@ -56,13 +63,24 @@ def cyclic_permutation(n: int):
                  for r in range(n))
 
 
+def _scaled(rows) -> tuple[list[list[int]], int]:
+    # integer rows and d with rows == ints / d, d the lcm of the denominators
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _int_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
 def mat_mul(a, b):
     n = len(a)
     if len(b) != n:
         raise ConfigError(f"size mismatch: {len(a)} vs {len(b)}")
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
+    (ia, da), (ib, db) = _scaled(a), _scaled(b)
+    d = da * db
+    return tuple(tuple(Fraction(x, d) for x in row) for row in _int_mul(ia, ib))
 
 
 def mat_add(a, b):
@@ -71,21 +89,26 @@ def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def trace(m) -> Fraction:
-    return sum((m[i][i] for i in range(len(m))), Fraction(0))
-
-
-def normalized_trace(m) -> Fraction:
-    """Trace divided by the size, so the identity has trace 1."""
-    return trace(m) / len(m)
-
-
 def product_trace(mats: Sequence) -> Fraction:
-    """Normalized trace of an ordered product of matrices."""
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = mat_mul(acc, m)
-    return normalized_trace(acc)
+    """Normalized trace of an ordered product of matrices.
+
+    The last factor enters only through the trace, tr(A B) = sum of
+    A[i][j] B[j][i], so it costs n**2 steps rather than a full product.
+    """
+    n = len(mats[0])
+    if any(len(m) != n for m in mats):
+        raise ConfigError(f"size mismatch: {[len(m) for m in mats]}")
+    if len(mats) == 1:
+        (diagonal,), d = _scaled([[mats[0][i][i] for i in range(n)]])
+        return Fraction(sum(diagonal), d * n)
+    scaled = [_scaled(m) for m in mats]
+    d = math.prod(dm for _, dm in scaled)
+    (acc, _), *tail = scaled
+    for im, _ in tail[:-1]:
+        acc = _int_mul(acc, im)
+    last = tail[-1][0]
+    return Fraction(sum(sum(map(mul, row, col))
+                        for row, col in zip(acc, zip(*last))), d * n)
 
 
 # an optionally signed integer, or p/q with an unsigned q; Fraction alone

@@ -323,14 +323,19 @@ def check_word_trace_routes(problems: list[str], quick: bool) -> str:
     p2, p3 = ModelParams(2), ModelParams(3)
     corpus = [(word, p2) for q in range(1, max_len + 1)
               for word in itertools.product(_LETTERS_N2, repeat=q)]
-    letters3 = _letters(3, ((1, 1), (1, 2), (2, 1), (3, 3)))
+    # the sampled words also draw one letter with non-unit denominators, so
+    # that the products' scaling to integer numerators runs; the full n=2
+    # enumeration, which sets this check's time, keeps _LETTERS_N2
+    letters3 = _letters(3, ((1, 1), (1, 2), (2, 1), (3, 3))) + [matrix_letter(
+        [["1/2", "-1/3", 0], ["2/5", 1, "1/7"], [0, "-3/4", "1/6"]])]
     rng = random.Random(VERIFY_SEED + 5)
     for _ in range(sampled):
         word = tuple(rng.choice(letters3) for _ in range(rng.randint(1, max_len)))
         corpus.append((word, p3))
+    letters2 = _LETTERS_N2 + [matrix_letter([["1/2", "-1/3"], ["2/5", 1]])]
     rng = random.Random(VERIFY_SEED + 7)
     for _ in range(with_z):
-        word = [rng.choice(_LETTERS_N2) for _ in range(rng.randint(1, 8))]
+        word = [rng.choice(letters2) for _ in range(rng.randint(1, 8))]
         word[rng.randrange(len(word))] = Z
         corpus.append((tuple(word), p2))
     (_, reference, _), *others = _TRACE_ROUTES

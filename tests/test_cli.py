@@ -1,13 +1,14 @@
 """Command line contract: JSON schema, frozen outputs, exit codes."""
 import dataclasses
 import json
+import math
 import time
 from fractions import Fraction
 
 import pytest
 
 import ncfree
-from ncfree import cli, factors, model, ncpart
+from ncfree import cli, factors, model, ncpart, ratmat
 from ncfree.errors import SizeLimitError
 
 
@@ -485,10 +486,25 @@ def _generator_block_weight(monkeypatch):
     monkeypatch.setattr(model, "tilde_kappa", bent)
 
 
+def _dropped_denominator(monkeypatch):
+    # product_trace forgets the last factor's denominator, which only a
+    # letter with non-unit denominators can show
+    original = ratmat.product_trace
+
+    def bent(mats):
+        *head, last = mats
+        d = math.lcm(*(x.denominator for row in last for x in row))
+        return original((*head, tuple(tuple(x * d for x in row) for row in last))
+                        if head else mats)
+
+    monkeypatch.setattr(ratmat, "product_trace", bent)
+
+
 @pytest.mark.parametrize("defect, check, detail", [
     (_bent_cumulant_weight, "word-trace-routes", "centering_moment disagrees"),
     (_generator_block_weight, "word-trace-routes", "tilde_kappa sum disagrees"),
-], ids=["cumulant-weight", "generator-block-weight"])
+    (_dropped_denominator, "word-trace-routes", "centering_moment disagrees"),
+], ids=["cumulant-weight", "generator-block-weight", "dropped-denominator"])
 def test_verify_detects_a_seeded_weight_bug(capsys, monkeypatch, defect, check,
                                             detail):
     # a wrong weight must flip the suite red; this guards against the

@@ -365,6 +365,17 @@ def test_kreweras_matches_interleaved_bruteforce(q):
         assert mapped == ncpart.kreweras_complement(pi).blocks
 
 
+@pytest.mark.parametrize("q", range(1, 11))
+def test_mu_to_top_matches_the_kreweras_blocks(q):
+    # the cycles of pi**-1 gamma against the interleaved construction of the
+    # public complement: mu(pi, top) is the product of signed Catalans
+    g = tuple(range(1, q + 1))
+    for pi in ncpart.enumerate_nc(g):
+        expected = math.prod((-1) ** (t - 1) * math.comb(2 * (t - 1), t - 1) // t
+                             for t in map(len, ncpart.kreweras_complement(pi).blocks))
+        assert ncpart._mu_to_top(pi.position_blocks(), q) == expected
+
+
 # ---------------------------------------------------------------------------
 # complement on the unmarked positions
 

@@ -1,4 +1,5 @@
 """Exact rational matrix helpers."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -63,7 +64,7 @@ def test_cyclic_permutation():
     for _ in range(2):
         acc = ratmat.mat_mul(acc, c)
     assert acc == ratmat.identity(3)
-    assert ratmat.trace(c) == 0
+    assert ratmat.product_trace((c,)) == 0
 
 
 def test_arithmetic_against_hand_values():
@@ -79,9 +80,55 @@ def test_arithmetic_against_hand_values():
 
 def test_traces():
     a = ratmat.matrix([[1, 2], [3, 4]])
-    assert ratmat.trace(a) == 5
-    assert ratmat.normalized_trace(a) == Fraction(5, 2)
-    assert ratmat.normalized_trace(ratmat.identity(7)) == 1
+    assert ratmat.product_trace((a,)) == Fraction(5, 2)
+    assert ratmat.product_trace((ratmat.identity(7),)) == 1
+    assert ratmat.product_trace((ratmat.matrix([["1/2", 9], [7, "1/3"]]),)) == \
+        Fraction(5, 12)
+    with pytest.raises(ConfigError):
+        ratmat.product_trace((a, ratmat.identity(3)))
+
+
+def naive_mul(a, b):
+    # the textbook triple loop in Fractions, as the oracle of the integer path
+    n = len(a)
+    return tuple(tuple(sum((Fraction(a[i][k]) * Fraction(b[k][j])
+                            for k in range(n)), Fraction(0))
+                       for j in range(n)) for i in range(n))
+
+
+def naive_product_trace(mats):
+    acc = mats[0]
+    for m in mats[1:]:
+        acc = naive_mul(acc, m)
+    return sum((Fraction(acc[i][i]) for i in range(len(acc))), Fraction(0)) / len(acc)
+
+
+def random_matrix(rng, n):
+    return ratmat.matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                           for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_products_match_the_naive_fraction_loop(n):
+    rng = random.Random(n)
+    zero = ratmat.matrix([[0] * n] * n)
+    for _ in range(60):
+        a, b = random_matrix(rng, n), random_matrix(rng, n)
+        assert ratmat.mat_mul(a, b) == naive_mul(a, b)
+        chain = [random_matrix(rng, n) for _ in range(rng.randint(1, 5))]
+        assert ratmat.product_trace(chain) == naive_product_trace(chain)
+        assert ratmat.mat_mul(a, zero) == zero == ratmat.mat_mul(zero, b)
+        chain[rng.randrange(len(chain))] = zero
+        assert ratmat.product_trace(chain) == 0
+    # int entries and Fraction entries of equal value give equal results
+    ints = [tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+            for _ in range(5)]
+    fracs = [ratmat.matrix(m) for m in ints]
+    assert ratmat.mat_mul(ints[0], ints[1]) == ratmat.mat_mul(fracs[0], fracs[1])
+    assert ratmat.mat_mul(ints[0], ints[1]) == naive_mul(ints[0], ints[1])
+    for k in range(1, 6):
+        assert ratmat.product_trace(ints[:k]) == ratmat.product_trace(fracs[:k])
+        assert ratmat.product_trace(ints[:k]) == naive_product_trace(fracs[:k])
 
 
 def test_product_trace_is_cyclic():
