@@ -5,10 +5,13 @@ traces, word traces and their integer numerators, matrix-block cumulants,
 compiled Monte Carlo word plans, the centering table ``freeprob._moment``,
 the Monte Carlo trial draw) is a function decorated with :func:`memo`; no
 module caches outside this registry, so ``cache_info()`` of the tables in
-``_MEMOS`` sees them all.  Arguments must be hashable; the tables grow
-without a bound for the life of the process, or until :func:`clear_all`
-empties every one of them at once.  Tests that monkeypatch a formula call
-``clear_all`` first, otherwise stale entries would mask the patch.
+``_MEMOS`` sees them all.  A table registers when its module is imported,
+and the package imports its layers on first use, so ``_MEMOS`` holds the
+tables of the modules loaded so far.  Arguments must be hashable; the
+tables grow without a bound for the life of the process, or until
+:func:`clear_all` empties every one of them at once.  Tests that
+monkeypatch a formula call ``clear_all`` first, otherwise stale entries
+would mask the patch.
 
 Word-keyed tables (``model._tau``, ``rmt._compile_plan``) validate a word
 inside the memoised body, so only a miss pays for it, and a call that
@@ -43,6 +46,6 @@ def memo(fn=None, *, maxsize: int | None = None):
 
 
 def clear_all() -> None:
-    """Empty every memo table in the package."""
+    """Empty every memo table of the modules loaded so far."""
     for cached in _MEMOS:
         cached.cache_clear()

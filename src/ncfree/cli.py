@@ -10,6 +10,10 @@ error.
 Word letters use a compact text syntax, whitespace separated: ``Z`` for the
 generator, ``M[[a,b],[c,d]]`` for a matrix letter with rational entries such
 as ``1/2``.  Partitions are written as brace-wrapped blocks: ``{2,8,11}{5}``.
+
+Only the partition and matrix layers load with this module; each handler
+imports the layers it runs (``model``, ``freeprob``, ``factors``, ``rmt``,
+``verify``), so an op pays start-up time for its own layers alone.
 """
 from __future__ import annotations
 
@@ -19,12 +23,14 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import __version__, factors, freeprob, model, ncpart, ratmat
+from . import __version__, ncpart, ratmat
 from .errors import (ArityError, GroundMismatchError, InconsistencyError,
                      NcfreeError, OutputError, SizeLimitError, WordSyntaxError)
-from .model import ModelParams
+
+if TYPE_CHECKING:
+    from .model import ModelLetter
 
 EXACT = "exact"
 MONTECARLO = "montecarlo"
@@ -39,13 +45,16 @@ NC_ENUM_LIMIT = 14
 # with those 2500 arcs took 1.4 s and 113 MB
 NC_PITILDE_LIMIT = 10_000
 # free check builds n**2 letters of n**2 entries, then runs for each swept
-# tuple of length q a Mobius sum over NC(q) and n**3-step matrix products: a
-# cost of n**4 + sum over q of tuples(q) * (Catalan(q) + n**3).  In fresh
-# processes on a two-core machine, with the products on integer numerators,
-# costs of 1.7e6 (n=2, --max-q 6), 2.6e6 (n=7, --max-q 3) and 3.0e6 (n=3,
-# --max-q 5) took 1.6 s, 0.6 s and 3.1 s; with the budget lifted, 2.9e7
-# (n=2, --max-q 7) took 17 s and 3.1e7 (n=10, --max-q 3) 2.5 s
-FREE_CHECK_BUDGET = 3_000_000
+# tuple of length q the memo lookups of its 2**q - 1 subwords, a Mobius sum
+# over NC(q) and n**3-step integer matrix products: a cost of n**4 + sum over
+# q of tuples(q) * (Catalan(q) + 100 + n**3 // 16), one unit about 0.5 us.
+# The weights are a least-squares fit to fresh-process times on a two-core
+# machine (Python 3.11) of 13 sweeps, n=2 to 29 and --max-q 2 to 7.  The
+# budget admits n=3 --max-q 5 (6.3e6, 3.0 s), n=33 --max-q 2 (6.3e6, 2.7 s),
+# n=10 --max-q 3 (5.1e6, 2.6 s) and n=4 --max-q 4 (2.2e6, 1.1 s); it refuses
+# n=5 --max-q 4 (8.3e6, 4.1 s), n=11 --max-q 3 (8.4e6, 4.2 s) and n=2
+# --max-q 7 (3.6e7, 17 s)
+FREE_CHECK_BUDGET = 6_500_000
 
 
 def _doc(op: str, params: dict, result, provenance: str) -> dict:
@@ -81,8 +90,9 @@ def _refuse_power_past_digit_limit(n: int, exponent: int) -> None:
 # input parsing helpers
 
 
-def parse_word(text: str) -> tuple[model.ModelLetter, ...]:
+def parse_word(text: str) -> tuple[ModelLetter, ...]:
     """Scan a whitespace-separated word of Z and M[[...]] letters."""
+    from . import model
     letters = []
     for token in text.split():
         if token == "Z":
@@ -182,17 +192,20 @@ def _cmd_cumulants(cmd: str, option: str, pad: int, transform,
 
 
 def _cmd_model_tau(args) -> tuple[dict, int]:
+    from . import model
     word = parse_word(args.word)
-    value = model.tau_word(word, ModelParams(args.n))
+    value = model.tau_word(word, model.ModelParams(args.n))
     params = {"n": args.n, "word": args.word}
     return _doc("model tau", params, _exact(value), EXACT), 0
 
 
 def _cmd_model_pi_term(args) -> tuple[dict, int]:
+    from . import model
     word = parse_word(args.word)
-    D, _ = model._split_word(word, ModelParams(args.n))
+    params = model.ModelParams(args.n)
+    D, _ = model._split_word(word, params)
     pi = ncpart.NonCrossingPartition.from_string(args.pi, ground=D)
-    term = model.pi_term(word, pi, ModelParams(args.n))
+    term = model.pi_term(word, pi, params)
     result = {
         "pi": str(term.pi),
         "pi_tilde": str(term.pi_tilde),
@@ -207,7 +220,8 @@ def _cmd_model_pi_term(args) -> tuple[dict, int]:
 
 
 def _cmd_model_z_moment(args) -> tuple[dict, int]:
-    params = ModelParams(args.n)
+    from . import model
+    params = model.ModelParams(args.n)
     _refuse_power_past_digit_limit(args.n, args.m - 1)  # z_moment >= n**(m-1)
     value = model.z_moment(args.m, params)
     return _doc("model z-moment", {"n": args.n, "m": args.m}, _exact(value),
@@ -215,7 +229,8 @@ def _cmd_model_z_moment(args) -> tuple[dict, int]:
 
 
 def _cmd_model_dims(args) -> tuple[dict, int]:
-    params = ModelParams(args.n)
+    from . import model
+    params = model.ModelParams(args.n)
     _refuse_power_past_digit_limit(args.n, args.k - 1)
     value = model.dim_box(args.k, params)
     return _doc("model dims", {"n": args.n, "k": args.k}, _exact(value), EXACT), 0
@@ -233,12 +248,14 @@ def _free_check_cost(n: int, max_q: int) -> int:
     for q in range(2, max_q + 1):
         if cost > FREE_CHECK_BUDGET:
             break
-        cost += ((m + 1) ** q - 1 - m ** q) * (ncpart.catalan(q) + n ** 3)
+        tuples = (m + 1) ** q - 1 - m ** q
+        cost += tuples * (ncpart.catalan(q) + 100 + n ** 3 // 16)
     return cost
 
 
 def _cmd_free_check(args) -> tuple[dict, int]:
-    params_model = ModelParams(args.n)
+    from . import freeprob, model
+    params_model = model.ModelParams(args.n)
     if _free_check_cost(args.n, args.max_q) > FREE_CHECK_BUDGET:
         raise SizeLimitError(f"free check --n {args.n} --max-q {args.max_q} is "
                              f"above the cost budget of {FREE_CHECK_BUDGET:,}")
@@ -260,8 +277,9 @@ def _cmd_free_check(args) -> tuple[dict, int]:
 
 
 def _cmd_free_product_moment(args) -> tuple[dict, int]:
+    from . import model
     word = parse_word(args.word)
-    value = model.centering_moment(word, ModelParams(args.n))
+    value = model.centering_moment(word, model.ModelParams(args.n))
     params = {"n": args.n, "word": args.word}
     return _doc("free product-moment", params, _exact(value), EXACT), 0
 
@@ -271,6 +289,7 @@ def _cmd_free_product_moment(args) -> tuple[dict, int]:
 
 
 def _cmd_factor_dykema(args) -> tuple[dict, int]:
+    from . import factors
     desc = factors.dykema_free_product(
         ratmat.parse_rational(args.r), ratmat.parse_rational(args.alpha), args.d)
     params = {"r": args.r, "alpha": args.alpha, "d": args.d}
@@ -278,7 +297,8 @@ def _cmd_factor_dykema(args) -> tuple[dict, int]:
 
 
 def _cmd_factor_m3(args) -> tuple[dict, int]:
-    parameter = factors.m3_parameter(ModelParams(args.n))
+    from . import factors, model
+    parameter = factors.m3_parameter(model.ModelParams(args.n))
     summand = factors.Summand(Fraction(1), factors.FREE_GROUP, parameter)
     return _doc("factor m3", {"n": args.n}, _exact(summand), EXACT), 0
 

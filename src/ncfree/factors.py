@@ -14,12 +14,14 @@ from ``vn_z_description``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+from ._record import Record
 from .errors import ConfigError, InconsistencyError
-from .model import ModelParams
+
+if TYPE_CHECKING:
+    from .model import ModelParams
 
 SCALAR = "scalar"
 MATRIX = "matrix"
@@ -29,30 +31,29 @@ INTEGER_GROUP = "lz"
 _KINDS = (SCALAR, MATRIX, FREE_GROUP, INTEGER_GROUP)
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(Record):
     """One weighted summand of a direct sum description."""
-    weight: Fraction
-    kind: str
-    parameter: Optional[Fraction] = None
+    __slots__ = _fields = ("weight", "kind", "parameter")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", Fraction(self.weight))
-        if not 0 < self.weight <= 1:
-            raise ConfigError(f"weight must lie in (0, 1], got {self.weight}")
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown summand kind {self.kind!r}")
-        if self.kind == MATRIX:
-            if not isinstance(self.parameter, int) or self.parameter < 1:
+    def __init__(self, weight: Fraction, kind: str,
+                 parameter: Optional[Fraction] = None):
+        weight = Fraction(weight)
+        if not 0 < weight <= 1:
+            raise ConfigError(f"weight must lie in (0, 1], got {weight}")
+        if kind not in _KINDS:
+            raise ConfigError(f"unknown summand kind {kind!r}")
+        if kind == MATRIX:
+            if not isinstance(parameter, int) or parameter < 1:
                 raise ConfigError(f"matrix summand needs a size >= 1, got "
-                                  f"{self.parameter!r}")
-        elif self.kind == FREE_GROUP:
-            p = Fraction(self.parameter)
-            if p < 1:
-                raise ConfigError(f"free group parameter must be >= 1, got {p}")
-            object.__setattr__(self, "parameter", p)
-        elif self.parameter is not None:
-            raise ConfigError(f"{self.kind} summand carries no parameter")
+                                  f"{parameter!r}")
+        elif kind == FREE_GROUP:
+            parameter = Fraction(parameter)
+            if parameter < 1:
+                raise ConfigError(f"free group parameter must be >= 1, got "
+                                  f"{parameter}")
+        elif parameter is not None:
+            raise ConfigError(f"{kind} summand carries no parameter")
+        self._set(weight=weight, kind=kind, parameter=parameter)
 
     def display(self) -> str:
         if self.kind == SCALAR:
@@ -68,19 +69,18 @@ class Summand:
         return f"{body}[{self.weight}]"
 
 
-@dataclass(frozen=True)
-class FactorDescription:
+class FactorDescription(Record):
     """A finite direct sum of weighted summands; weights add up to 1."""
-    summands: tuple
+    __slots__ = _fields = ("summands",)
 
-    def __post_init__(self):
-        s = tuple(self.summands)
+    def __init__(self, summands: tuple):
+        s = tuple(summands)
         if not s:
             raise ConfigError("a description needs at least one summand")
         if sum(x.weight for x in s) != 1:
             raise ConfigError(f"weights must sum to 1, got "
                               f"{[str(x.weight) for x in s]}")
-        object.__setattr__(self, "summands", s)
+        self._set(summands=s)
 
     def display(self) -> str:
         return " (+) ".join(x.display() for x in self.summands)

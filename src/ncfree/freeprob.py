@@ -12,12 +12,12 @@ of the package's main correctness checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import ncpart, ratmat
 from ._caches import memo
+from ._record import Record
 from .errors import ArityError, ConfigError, SizeLimitError
 
 ExactScalar = ncpart.ExactScalar
@@ -165,19 +165,21 @@ def mixed_cumulant(word: Sequence, moment_source: MomentSource) -> ExactScalar:
     return ncpart.moments_to_cumulants(moment_source, tuple(word))
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(Record):
     """Outcome of a freeness sweep.
 
     ``certified`` is True only when every mixed cumulant in the requested
     range vanished and the range was not truncated at ``WORD_LIMIT``.
     Violations are (word, value) pairs.
     """
-    certified: bool
-    violations: tuple
-    tuples_checked: int
-    max_q: int
-    truncated: bool
+    __slots__ = _fields = ("certified", "violations", "tuples_checked",
+                           "max_q", "truncated")
+
+    def __init__(self, certified: bool, violations: tuple, tuples_checked: int,
+                 max_q: int, truncated: bool):
+        self._set(certified=certified, violations=violations,
+                  tuples_checked=tuples_checked, max_q=max_q,
+                  truncated=truncated)
 
 
 def freeness_check(generator_sets: Sequence[Sequence], max_q: int,

@@ -17,46 +17,54 @@ acceptance-critical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import freeprob, ncpart, ratmat
 from ._caches import memo
+from ._record import Record
 from .errors import (ArityError, ConfigError, GroundMismatchError,
                      InconsistencyError, SizeLimitError)
 from .freeprob import FreeProduct, mixed_cumulant
 from .ncpart import NonCrossingPartition
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Model size: the matrix algebra is n-by-n, n >= 2."""
-    n: int
+    __slots__ = _fields = ("n",)
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise ConfigError(f"n must be an integer >= 2, got {self.n!r}")
+    def __init__(self, n: int):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+            raise ConfigError(f"n must be an integer >= 2, got {n!r}")
+        self._set(n=n)
 
 
-@dataclass(frozen=True)
-class ModelLetter:
+class ModelLetter(Record):
     """One letter of a model word: an n-by-n matrix, or Z when it is None.
 
     Letters compare by value.  Their hash is computed once, at construction,
-    and kept outside the dataclass fields: words and letter tuples key the
+    and kept in a slot that is not a field: words and letter tuples key the
     memo tables (``_tau``, ``_tau_numerator``, ``_product_trace``,
     ``_matrix_cumulant``, ``rmt._compile_plan``), and a field-derived hash
     would re-hash every ``Fraction`` entry of the matrix at each lookup.
     """
-    matrix: tuple | None = None
+    __slots__ = ("matrix", "_hash")
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        if self.matrix is not None:
+    def __init__(self, matrix: tuple | None = None):
+        if matrix is not None:
             # square rows of Fractions, so that letters hash and compare by value
-            object.__setattr__(self, "matrix", ratmat.matrix(self.matrix))
+            matrix = ratmat.matrix(matrix)
         # () stands in for Z: hash(None) differs between processes before 3.12
-        object.__setattr__(self, "_hash", hash(self.matrix or ()))
+        self._set(matrix=matrix, _hash=hash(matrix or ()))
+
+    def __eq__(self, other):
+        # memo lookups compare letters whose hashes collide, which is common
+        # for small entries (hash(-1) == hash(-2)), so skip the generic field
+        # tuples here
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.matrix == other.matrix
 
     def __hash__(self) -> int:
         return self._hash
@@ -197,8 +205,13 @@ def _tau(word: tuple, n: int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class PiTermBreakdown:
+def _loop_count(pi: NonCrossingPartition, comp: NonCrossingPartition) -> int:
+    # closed internal loops of the summand of pi, whose ground is D, and its
+    # complement partition comp: 2 * (|D| - |pi| - |pi_tilde| + 1)
+    return 2 * (len(pi.ground) - len(pi) - len(comp) + 1)
+
+
+class PiTermBreakdown(Record):
     """One summand of the word-trace factorization, with loop bookkeeping.
 
     Only pi, pi_tilde and the block traces are stored; ``cumulant_factor``,
@@ -206,12 +219,11 @@ class PiTermBreakdown:
     computed from them.  A pi_tilde too fine for pi has a negative loop
     count and is refused.
     """
-    n: int
-    pi: NonCrossingPartition
-    pi_tilde: NonCrossingPartition
-    block_traces: tuple
+    __slots__ = _fields = ("n", "pi", "pi_tilde", "block_traces")
 
-    def __post_init__(self):
+    def __init__(self, n: int, pi: NonCrossingPartition,
+                 pi_tilde: NonCrossingPartition, block_traces: tuple):
+        self._set(n=n, pi=pi, pi_tilde=pi_tilde, block_traces=block_traces)
         if self.loop_count < 0:
             raise ConfigError(f"loop count must be >= 0, got {self.loop_count}")
 
@@ -221,7 +233,7 @@ class PiTermBreakdown:
 
     @property
     def loop_count(self) -> int:
-        return 2 * (len(self.pi.ground) - len(self.pi) - len(self.pi_tilde) + 1)
+        return _loop_count(self.pi, self.pi_tilde)
 
     @property
     def value(self) -> Fraction:
@@ -234,9 +246,7 @@ class PiTermBreakdown:
 def floating_loops(D: Iterable[int], E: Iterable[int],
                    pi: NonCrossingPartition) -> int:
     """Closed internal loops of one summand: 2 * (|D| - |pi| - |pi_tilde| + 1)."""
-    d = ncpart.as_ground(D)
-    comp = ncpart.pi_tilde(d, E, pi)
-    return 2 * (len(d) - len(pi) - len(comp) + 1)
+    return _loop_count(pi, ncpart.pi_tilde(D, E, pi))
 
 
 def pi_term(word: Sequence[ModelLetter], pi: NonCrossingPartition,

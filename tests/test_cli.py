@@ -1,7 +1,8 @@
 """Command line contract: JSON schema, frozen outputs, exit codes."""
-import dataclasses
 import json
 import math
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -265,14 +266,23 @@ def test_free_check_admits_sweeps_within_its_budget(capsys, n, max_q):
     assert doc["result"]["certified"] is True
 
 
-@pytest.mark.parametrize("n, max_q", [("2", "7"), ("2", "11"), ("10", "3"),
-                                      ("100", "2"), ("10000", "2")])
+@pytest.mark.parametrize("n, max_q", [("2", "7"), ("2", "11"), ("100", "2"),
+                                      ("10000", "2")])
 def test_free_check_refuses_sweeps_past_its_budget(capsys, n, max_q):
     # refused before the letters are built: n=100 would hold 10**8 entries
     t0 = time.perf_counter()
     err = expect_usage_error(capsys, "free", "check", "--n", n, "--max-q", max_q)
     assert time.perf_counter() - t0 < 1.0
     assert "above the cost budget" in err
+
+
+@pytest.mark.parametrize("n, max_q, admitted", [
+    (10, 3, True), (3, 5, True), (33, 2, True), (4, 4, True),
+    (5, 4, False), (11, 3, False), (2, 7, False)])
+def test_free_check_budget_admits_by_measured_cost(n, max_q, admitted):
+    # in fresh processes on a two-core machine the admitted sweeps took at
+    # most 3.0 s and the refused ones at least 4.1 s (see FREE_CHECK_BUDGET)
+    assert (cli._free_check_cost(n, max_q) <= cli.FREE_CHECK_BUDGET) is admitted
 
 
 def _wrong_numerator_scale(monkeypatch):
@@ -530,7 +540,8 @@ def _bend_dykema_pipeline(monkeypatch):
 
     def bent(r, alpha, d):
         *rest, top = original(r, alpha, d).summands
-        top = dataclasses.replace(top, parameter=top.parameter + Fraction(1, 1000))
+        top = factors.Summand(top.weight, top.kind,
+                              top.parameter + Fraction(1, 1000))
         return factors.FactorDescription((*rest, top))
 
     monkeypatch.setattr(factors, "dykema_free_product", bent)
@@ -570,3 +581,53 @@ def test_verify_reports_a_raising_check_as_failed(capsys, monkeypatch, defect,
     assert not checks[check]["ok"]
     assert checks[check]["detail"].startswith(error)
     assert checks[unaffected]["ok"]
+
+
+# ---------------------------------------------------------------------------
+# start-up: each subcommand loads only its own layers
+
+_RUN_AND_LIST_MODULES = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import ncfree.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ncfree.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+_HEAVY = {"dataclasses", "numpy", "scipy"}
+_MODEL_LAYERS = {"ncfree.model", "ncfree.freeprob"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["nc", "enum", "--q", "4"], _HEAVY | _MODEL_LAYERS | {"ncfree.factors"}),
+    (["cumulants", "from-moments", "--moments", "1,2,5"],
+     _HEAVY | _MODEL_LAYERS | {"ncfree.factors"}),
+    (["model", "z-moment", "--n", "2", "--m", "8"], _HEAVY | {"ncfree.factors"}),
+    (["model", "tau", "--n", "2", "--word", "Z M[[1,0],[0,0]] Z"],
+     _HEAVY | {"ncfree.factors"}),
+    (["free", "check", "--n", "2", "--max-q", "2"], _HEAVY | {"ncfree.factors"}),
+    (["factor", "dykema", "--r", "3", "--alpha", "1/2", "--d", "2"],
+     _HEAVY | _MODEL_LAYERS),
+    (["factor", "m3", "--n", "3"], _HEAVY),
+], ids=["nc-enum", "cumulants", "model-z-moment", "model-tau", "free-check",
+        "factor-dykema", "factor-m3"])
+def test_exact_subcommands_load_only_their_layers(package_env, argv, absent):
+    out = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
+                         env=package_env, check=True, capture_output=True,
+                         text=True, timeout=120).stdout
+    report = json.loads(out)
+    assert report["code"] == 0
+    loaded = set(report["loaded"])
+    assert {m for m in loaded if m in absent or m.split(".")[0] in absent} == set()
+    assert "ncfree.cli" in loaded
+
+
+def test_parse_word_works_in_a_fresh_interpreter_before_main(package_env):
+    script = ("import ncfree.cli\n"
+              "word = ncfree.cli.parse_word('Z M[[1,0],[0,1]]')\n"
+              "print([letter.is_z for letter in word], word[1].matrix[1][1])")
+    out = subprocess.run([sys.executable, "-c", script], env=package_env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert out.split() == ["[True,", "False]", "1"]

@@ -4,15 +4,16 @@ Closed-form oracles for short words (one or two generator letters) are
 derived by hand; longer words are cross-checked against the centering
 recursion and the partition-sum consistency identities.
 """
-import dataclasses
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 import ncfree
-from ncfree import cli, model, ncpart, ratmat
+from ncfree import cli, factors, model, ncpart, ratmat
 from ncfree.errors import (
     ArityError,
     ConfigError,
@@ -24,6 +25,7 @@ from ncfree.freeprob import (
     FreeProduct,
     free_poisson_cumulant,
     free_poisson_moment,
+    freeness_check,
     mixed_cumulant,
 )
 from ncfree.model import (
@@ -97,11 +99,44 @@ def test_letter_validation():
 
 
 def test_letter_hash_is_stored_outside_the_fields():
-    # the stored hash adds no field, so ==, repr and fields() are as before
-    assert [f.name for f in dataclasses.fields(ModelLetter)] == ["matrix"]
+    # the stored hash is no field, so ==, hash and repr see the matrix alone
     assert repr(Z) == "ModelLetter(matrix=None)"
-    assert dataclasses.replace(E11) == E11
-    assert hash(dataclasses.replace(E11)) == hash(E11)
+    assert repr(E11) == f"ModelLetter(matrix={E11.matrix!r})"
+    rebuilt = ModelLetter(E11.matrix)
+    assert rebuilt is not E11
+    assert rebuilt == E11
+    assert hash(rebuilt) == hash(E11)
+
+
+def _value_objects():
+    pi = NonCrossingPartition((1, 3), [(1,), (3,)])
+    term = pi_term((Z, E11, Z), pi, P2)
+    report = freeness_check([[Z], [E11]], 2, lambda w: word_cumulant(w, P2))
+    summand = factors.Summand(Fraction(1, 2), factors.FREE_GROUP, 3)
+    return {"params": P2, "letter": E11, "z": Z, "pi-term": term,
+            "report": report, "summand": summand,
+            "description": factors.FactorDescription([summand, summand])}
+
+
+@pytest.mark.parametrize("kind", ["params", "letter", "z", "pi-term", "report",
+                                  "summand", "description"])
+def test_value_classes_are_frozen_and_compare_by_fields(kind):
+    value = _value_objects()[kind]
+    again = _value_objects()[kind]
+    assert value == again and hash(value) == hash(again)
+    assert repr(value) == repr(again)
+    assert repr(value).startswith(type(value).__name__ + "(")
+    assert value != object() and value != (value,)
+    for name in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    for clone in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert clone == value and hash(clone) == hash(value)
 
 
 def test_equal_letters_share_a_word_trace_entry():
