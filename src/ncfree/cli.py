@@ -35,14 +35,11 @@ if TYPE_CHECKING:
 EXACT = "exact"
 MONTECARLO = "montecarlo"
 
-# nc enum holds and prints all of NC(q): q=14 peaks at 0.85 GB resident on an
-# 8 GB two-core machine, and q=15 would need about 3 GB (Catalan ratio 3.6)
-NC_ENUM_LIMIT = 14
 # nc pitilde grows with q in a fresh process on a two-core machine: one mark
 # took 0.25 s and 29 MB at q=10**5 and 1.5 s and 138 MB at q=10**6; odd marks
 # paired {1,3}{5,7}... cost quadratically in pi_tilde alone, 0.05 s at
 # q=2000, 0.21 s at q=4000, 0.86 s at q=8000; the whole command at the limit
-# with those 2500 arcs took 1.4 s and 113 MB
+# with those 2500 arcs took 0.77 s and 113 MB
 NC_PITILDE_LIMIT = 10_000
 # free check builds n**2 letters of n**2 entries, then runs for each swept
 # tuple of length q the memo lookups of its 2**q - 1 subwords, a Mobius sum
@@ -140,8 +137,6 @@ def _parse_rational_list(text: str) -> list[Fraction]:
 def _cmd_nc_enum(args) -> tuple[dict, int]:
     if args.q < 0:
         raise ArityError(f"--q must be >= 0, got {args.q}")
-    if args.q > NC_ENUM_LIMIT:
-        raise SizeLimitError(f"nc enum lists at most NC({NC_ENUM_LIMIT}), got --q {args.q}")
     parts = ncpart.enumerate_nc(range(1, args.q + 1))
     result = {"count": len(parts), "partitions": [str(p) for p in parts]}
     return _doc("nc enum", {"q": args.q}, result, EXACT), 0
@@ -162,7 +157,8 @@ def _cmd_nc_pitilde(args) -> tuple[dict, int]:
     D = _parse_int_list(args.d)
     if not all(1 <= i <= args.q for i in D):
         raise GroundMismatchError(f"marked positions {D} must lie in 1..{args.q}")
-    E = tuple(i for i in range(1, args.q + 1) if i not in D)
+    marks = set(D)
+    E = tuple(i for i in range(1, args.q + 1) if i not in marks)
     pi = ncpart.NonCrossingPartition.from_string(args.pi, ground=D)
     comp = ncpart.pi_tilde(D, E, pi)
     params = {"q": args.q, "d": list(D), "pi": str(pi)}

@@ -23,7 +23,9 @@ from .errors import ArityError, ConfigError, SizeLimitError
 ExactScalar = ncpart.ExactScalar
 MomentSource = Callable[[tuple], ExactScalar]
 
-# the longest word the 2^q centering recursion accepts
+# the longest word the 2^q centering recursion accepts: an alternating
+# length-10 word took 0.47 s (median of 7, 0.43-0.53 s) through free
+# product-moment --n 2 in fresh processes on a two-core machine (Python 3.11)
 WORD_LIMIT = 10
 
 
@@ -52,7 +54,7 @@ def free_poisson_moment(rate, jump, m: int) -> Fraction:
     rate = Fraction(rate)
     jump = Fraction(jump)
     total = Fraction(0)
-    for blocks in ncpart._iter_partitions(m):
+    for blocks in ncpart._partitions(m):
         total += rate ** len(blocks)
     return total * jump ** m
 
@@ -168,18 +170,20 @@ def mixed_cumulant(word: Sequence, moment_source: MomentSource) -> ExactScalar:
 class FreenessReport(Record):
     """Outcome of a freeness sweep.
 
-    ``certified`` is True only when every mixed cumulant in the requested
+    Violations are (word, value) pairs.  ``certified`` is computed from the
+    stored fields: True only when every mixed cumulant in the requested
     range vanished and the range was not truncated at ``WORD_LIMIT``.
-    Violations are (word, value) pairs.
     """
-    __slots__ = _fields = ("certified", "violations", "tuples_checked",
-                           "max_q", "truncated")
+    __slots__ = _fields = ("violations", "tuples_checked", "max_q", "truncated")
 
-    def __init__(self, certified: bool, violations: tuple, tuples_checked: int,
-                 max_q: int, truncated: bool):
-        self._set(certified=certified, violations=violations,
-                  tuples_checked=tuples_checked, max_q=max_q,
-                  truncated=truncated)
+    def __init__(self, violations: tuple, tuples_checked: int, max_q: int,
+                 truncated: bool):
+        self._set(violations=violations, tuples_checked=tuples_checked,
+                  max_q=max_q, truncated=truncated)
+
+    @property
+    def certified(self) -> bool:
+        return not self.violations and not self.truncated
 
 
 def freeness_check(generator_sets: Sequence[Sequence], max_q: int,
@@ -213,7 +217,6 @@ def freeness_check(generator_sets: Sequence[Sequence], max_q: int,
             if value != 0:
                 violations.append((letters, value))
     return FreenessReport(
-        certified=not violations and not truncated,
         violations=tuple(violations),
         tuples_checked=checked,
         max_q=max_q,

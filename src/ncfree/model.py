@@ -197,7 +197,7 @@ def _tau(word: tuple, n: int) -> Fraction:
     if not D:
         return _block_trace(word, E) if E else Fraction(1)
     total = Fraction(0)
-    for pi_blocks in ncpart._relabel(ncpart._iter_partitions(len(D)), D):
+    for pi_blocks in ncpart._relabel(ncpart._partitions(len(D)), D):
         term = Fraction(_cumulant_weight(n, len(D), len(pi_blocks)))
         for V in ncpart._rest_complement(pi_blocks, E):
             term *= _block_trace(word, V)

@@ -18,16 +18,19 @@ lattices NC(t) whose sizes t are the block sizes of the Kreweras complement
 of the restricted partition, read off in O(t) as the cycle lengths of the
 permutation pi**-1 gamma.  Each full lattice contributes the closed form
 mu(bottom, top) = (-1)**(t-1) * Cat(t-1) (Kreweras 1972); the test suite
-checks it against the defining recursion.  Every sum over NC(k) goes through
-one open-block stack walk, which refuses k above ``ENUMERATION_LIMIT``.
+checks it against the defining recursion, and no block of sigma is too
+large for it.
 
-``moments_to_cumulants`` evaluates its functional once per distinct block:
-NC(5) has 126 block occurrences but 31 distinct blocks.  Up to
-``_CACHE_LIMIT`` it reads one memoised table per q, ``_mobius_table``, which
-holds the distinct position blocks of NC(q) and, per partition, mu(pi, 1)
-and the indices of its blocks; above it the walk streams with a per-call
-map from block to value.  ``cumulants_to_moments`` and
-``partitioned_forms_check`` keep the plain per-partition walk, so they stay
+Every sum over NC(k) reads one of two memo tables, both built by one
+open-block stack walk: ``_partitions(k)`` lists the partitions of positions
+0..k-1, and ``_mobius_table(q)`` holds the distinct position blocks of
+NC(q) and, per partition, mu(pi, 1) and the indices of its blocks.  Each
+table refuses k above ``ENUMERATION_LIMIT`` (12) inside its memoised body,
+so a hit pays nothing and a refused size stores nothing.
+``moments_to_cumulants`` reads the Mobius table and evaluates its
+functional once per distinct block: NC(5) has 126 block occurrences but 31
+distinct blocks.  ``cumulants_to_moments`` and ``partitioned_forms_check``
+keep the plain per-partition walk over ``_partitions``, so they stay
 independent checks of that table.
 """
 from __future__ import annotations
@@ -51,12 +54,12 @@ from .errors import (
 ExactScalar = Union[int, Fraction]
 PartitionFunctional = Callable[[tuple], ExactScalar]
 
-# the largest ground set any enumeration over NC(k) accepts
-ENUMERATION_LIMIT = 16
-
-# the NC(k) tables (partitions, the Mobius-sum index) are cached up to this
-# size; larger ones stream
-_CACHE_LIMIT = 12
+# the largest k of any sum over NC(k), and so of every NC(k) memo table.
+# Fresh processes on a two-core machine (Python 3.11) at k = 12 and 13:
+# cumulants from-moments 4.8 s and 17.9 s, cumulants to-moments 3.8 s and
+# 16.3 s, nc enum 1.6 s (111 MB) and 5.8 s (248 MB); model tau --n 2 took
+# 10.8 s for 12 Z among 12 matrix letters (14.4 s at n=3) and 22 s for 13 Z
+ENUMERATION_LIMIT = 12
 
 _BLOCK_RE = re.compile(r"\{([^{}]*)\}")
 _PARTITION_RE = re.compile(r"(?:\s*\{[^{}]*\}\s*)*")
@@ -301,16 +304,10 @@ def _gen_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 
 @memo
-def _cached_partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return tuple(_gen_partitions(k))
-
-
-def _iter_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All non-crossing partitions of positions 0..k-1, deterministic order."""
-    _check_cap(k)  # on the call, before any iteration
-    if k <= _CACHE_LIMIT:
-        return iter(_cached_partitions(k))
-    return _gen_partitions(k)
+    _check_cap(k)
+    return tuple(_gen_partitions(k))
 
 
 def _relabel(partitions: Iterable[tuple[tuple[int, ...], ...]],
@@ -337,14 +334,15 @@ def enumerate_nc(ground: Iterable[int]) -> list[NonCrossingPartition]:
     The order is deterministic: each element in turn opens a new block, then
     joins each open block, earliest opened first; the singletons come first,
     the whole ground last.  Refuses ground sets larger than
-    ``ENUMERATION_LIMIT`` (16), since the count grows like Catalan numbers.
+    ``ENUMERATION_LIMIT`` (12) before it enumerates, since the count grows
+    like Catalan numbers: NC(12) has 208,012 partitions.
 
     >>> len(enumerate_nc((1, 2, 3)))
     5
     """
     g = as_ground(ground)
     return [NonCrossingPartition._raw(g, b)
-            for b in _relabel(_iter_partitions(len(g)), g)]
+            for b in _relabel(_partitions(len(g)), g)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +409,7 @@ def pi_tilde_bruteforce(D: Iterable[int], E: Iterable[int],
     """
     d, e = _split_validate(D, E, pi)
     valid = []
-    for rb in _relabel(_iter_partitions(len(e)), e):
+    for rb in _relabel(_partitions(len(e)), e):
         if _blocks_noncrossing(pi.blocks + rb):
             valid.append(rb)
     best = min(valid, key=len)
@@ -490,8 +488,7 @@ def mobius(pi: NonCrossingPartition, sigma: NonCrossingPartition) -> int:
     Requires pi to refine sigma; raises :class:`MobiusOrderError` otherwise.
     The interval factors over the blocks of sigma, and each block takes its
     value from the Kreweras complement in closed form, with no enumeration,
-    in time linear in the block.  A block of sigma above
-    ``ENUMERATION_LIMIT`` is refused, like every other NC(k) input here.
+    in time linear in the block, so no block of sigma is too large.
 
     >>> g = (1, 2, 3)
     >>> mobius(NonCrossingPartition.singletons(g), NonCrossingPartition.whole(g))
@@ -502,8 +499,6 @@ def mobius(pi: NonCrossingPartition, sigma: NonCrossingPartition) -> int:
             f"mobius needs a common ground, got {pi.ground} and {sigma.ground}")
     if not refines(pi, sigma):
         raise MobiusOrderError(f"{pi} does not refine {sigma}")
-    for V in sigma.blocks:
-        _check_cap(len(V))
     return _mobius_positions(pi.blocks, sigma.blocks)
 
 
@@ -516,8 +511,9 @@ def _mobius_table(q: int) -> tuple[tuple[tuple[int, ...], ...],
     walk first meets them; for the i-th partition, ``mus[i]`` is
     mu(partition, whole) and ``rows[i]`` the indices of its blocks in
     ``blocks``.  Built from the walk itself, so the partition table of
-    ``_cached_partitions`` is neither needed nor kept.
+    ``_partitions`` is neither needed nor kept.
     """
+    _check_cap(q)
     index: dict[tuple[int, ...], int] = {}
     mus = []
     rows = []
@@ -568,23 +564,12 @@ def moments_to_cumulants(phi: PartitionFunctional, letters: Sequence) -> ExactSc
     q = len(letters)
     if q == 0:
         raise ArityError("cumulant of an empty tuple is undefined")
+    blocks, mus, rows = _mobius_table(q)
+    values = [phi(tuple([letters[i] for i in b])) for b in blocks]
+    at = values.__getitem__
     total: ExactScalar = 0
-    if q <= _CACHE_LIMIT:
-        blocks, mus, rows = _mobius_table(q)
-        values = [phi(tuple([letters[i] for i in b])) for b in blocks]
-        at = values.__getitem__
-        for mu, row in zip(mus, rows):
-            total += math.prod(map(at, row), start=mu)
-        return total
-    seen: dict[tuple[int, ...], ExactScalar] = {}
-    for part in _iter_partitions(q):
-        term: ExactScalar = _mu_to_top(part, q)
-        for b in part:
-            value = seen.get(b)
-            if value is None:
-                value = seen[b] = phi(tuple([letters[i] for i in b]))
-            term *= value
-        total += term
+    for mu, row in zip(mus, rows):
+        total += math.prod(map(at, row), start=mu)
     return total
 
 
@@ -594,7 +579,7 @@ def cumulants_to_moments(kappa: PartitionFunctional, letters: Sequence) -> Exact
     if q == 0:
         raise ArityError("moment of an empty tuple is undefined")
     total: ExactScalar = 0
-    for blocks in _iter_partitions(q):
+    for blocks in _partitions(q):
         term: ExactScalar = 1
         for b in blocks:
             term *= kappa(tuple(letters[i] for i in b))
@@ -614,7 +599,7 @@ def partitioned_forms_check(phi: PartitionFunctional, kappa: PartitionFunctional
     q = len(tau.ground)
     if len(letters) != q:
         raise ArityError(f"{len(letters)} letters for a partition of {q} elements")
-    partitions = _iter_partitions(q)
+    partitions = _partitions(q)
     tau_pos = tau.position_blocks()
     owner = {x: i for i, b in enumerate(tau_pos) for x in b}
     phi_tau = multiplicative_extension(phi, tau, letters)

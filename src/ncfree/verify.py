@@ -226,7 +226,7 @@ def check_complement_dual_route(problems: list[str], quick: bool) -> str:
         E = tuple(i for i in range(1, q + 1) if i not in D)
         if not D:
             continue
-        blocks = rng.choice(ncpart._cached_partitions(len(D)))
+        blocks = rng.choice(ncpart._partitions(len(D)))
         (pi_blocks,) = ncpart._relabel((blocks,), D)
         pi = ncpart.NonCrossingPartition._raw(D, pi_blocks)
         checked += 1

@@ -65,14 +65,22 @@ def test_nc_enum_cap_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("q", ["15", "16"])
-def test_nc_enum_refuses_sizes_it_cannot_hold_before_enumerating(capsys, q):
-    # NC(15) would need about 3 GB once listed as JSON; the library's
-    # enumeration limit (16) still admits it
-    assert int(q) <= ncpart.ENUMERATION_LIMIT
+_ABOVE = ncpart.ENUMERATION_LIMIT + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("nc", "enum", "--q", str(_ABOVE)),
+    ("cumulants", "from-moments", "--moments", ",".join(["1"] * _ABOVE)),
+    ("cumulants", "to-moments", "--cumulants", ",".join(["1"] * _ABOVE)),
+    ("model", "tau", "--n", "2", "--word", " ".join(["Z"] * _ABOVE)),
+], ids=["nc-enum", "from-moments", "to-moments", "model-tau"])
+def test_each_nc_user_refuses_one_past_the_limit_before_any_work(capsys, argv):
+    # NC(13) holds 742,900 partitions, 3.6 times NC(12); the refusal comes
+    # before the first partition is walked
     t0 = time.perf_counter()
-    err = expect_usage_error(capsys, "nc", "enum", "--q", q)
+    err = expect_usage_error(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
+    assert "enumeration limit" in err
     assert "Traceback" not in err
 
 
@@ -97,12 +105,14 @@ def test_nc_mobius_rejects_incomparable(capsys):
                        "--pi", "{1,2}{3}", "--sigma", "{1}{2,3}")
 
 
-def test_nc_mobius_refuses_a_block_above_the_enumeration_limit(capsys):
-    ground = range(1, ncpart.ENUMERATION_LIMIT + 2)
+def test_nc_mobius_has_no_block_limit(capsys):
+    # mobius enumerates nothing, so a block past the enumeration limit is
+    # read off in closed form: mu(bottom, top) on NC(20) is -Cat(19)
+    ground = range(1, 21)
     pi = "".join(f"{{{i}}}" for i in ground)
     sigma = "{" + ",".join(map(str, ground)) + "}"
-    err = expect_usage_error(capsys, "nc", "mobius", "--pi", pi, "--sigma", sigma)
-    assert "enumeration limit" in err
+    doc = run_json(capsys, "nc", "mobius", "--pi", pi, "--sigma", sigma)
+    assert doc["result"] == str(-ncpart.catalan(19))
 
 
 def test_nc_pitilde_frozen_instance(capsys):

@@ -15,6 +15,7 @@ from ncfree import _caches, freeprob, model, ratmat
 from ncfree.errors import ArityError, ConfigError, SizeLimitError
 from ncfree.freeprob import (
     FreeProduct,
+    FreenessReport,
     free_poisson_cumulant,
     free_poisson_moment,
     freeness_check,
@@ -280,6 +281,14 @@ def test_freeness_check_flags_a_dependent_pair():
                             lambda w: mixed_cumulant(w, ratmat.product_trace))
     assert not report.certified
     assert ((e11, e22), Fraction(-1, 4)) in report.violations
+
+
+def test_certified_is_derived_from_the_stored_fields():
+    violation = (((1, E11), Fraction(1)),)
+    assert FreenessReport((), 4, 2, False).certified
+    assert not FreenessReport(violation, 4, 2, False).certified
+    assert not FreenessReport((), 4, 11, True).certified
+    assert "certified" not in FreenessReport._fields
 
 
 def test_freeness_check_reports_truncation(monkeypatch):

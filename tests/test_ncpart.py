@@ -76,11 +76,10 @@ def test_enumeration_matches_bruteforce(q):
     assert got == nc_bruteforce(q)
 
 
-@pytest.mark.parametrize("k", range(0, 14))
+@pytest.mark.parametrize("k", range(0, ncpart.ENUMERATION_LIMIT + 1))
 def test_walk_yields_each_canonical_partition_once(k):
-    # k = 13 is past the cached sizes, so the streamed walk is covered too
     seen = set()
-    for blocks in ncpart._iter_partitions(k):
+    for blocks in ncpart._partitions(k):
         assert all(b == tuple(sorted(b)) for b in blocks)
         assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
         assert sorted(x for b in blocks for x in b) == list(range(k))
@@ -91,7 +90,7 @@ def test_walk_yields_each_canonical_partition_once(k):
 def test_cached_partitions_share_their_block_tuples():
     # a block that many partitions hold in common is one tuple object, which
     # keeps the NC(12) table small; a copy per partition would read 1.0
-    blocks = [b for p in ncpart._cached_partitions(12) for b in p]
+    blocks = [b for p in ncpart._partitions(12) for b in p]
     assert len({id(b) for b in blocks}) <= len(blocks) / 3
 
 
@@ -249,7 +248,7 @@ def mu_bottom_top_by_recursion(q):
 
 
 def test_mobius_closed_form_bottom_to_top():
-    for q in range(1, ncpart.ENUMERATION_LIMIT + 1):
+    for q in range(1, 21):
         g = tuple(range(1, q + 1))
         bottom = NonCrossingPartition.singletons(g)
         top = NonCrossingPartition.whole(g)
@@ -302,17 +301,13 @@ def test_mobius_pairs_product_over_blocks():
     assert ncpart.mobius(pi, sigma) == whole3 ** 2
 
 
-def test_mobius_refuses_a_block_above_the_enumeration_limit():
-    k = ncpart.ENUMERATION_LIMIT + 1
-    g = tuple(range(1, k + 1))
-    with pytest.raises(SizeLimitError):
-        ncpart.mobius(NonCrossingPartition.singletons(g),
-                      NonCrossingPartition.whole(g))
-    # a coarse pi does not help: the sum runs over NC of sigma's block
-    with pytest.raises(SizeLimitError):
-        ncpart.mobius(NonCrossingPartition(g, [g[:-1], g[-1:]]),
-                      NonCrossingPartition.whole(g))
-    # the limit applies per block of sigma, not to the ground
+def test_mobius_has_no_block_limit():
+    # the closed form enumerates nothing, so a block of sigma may be larger
+    # than any NC(k) the enumerator admits
+    g = tuple(range(1, 21))
+    assert ncpart.mobius(NonCrossingPartition.singletons(g),
+                         NonCrossingPartition.whole(g)) == -ncpart.catalan(19)
+    # the value is the product over the blocks of sigma
     g = tuple(range(1, 2 * 9 + 1))
     sigma = NonCrossingPartition(g, [g[:9], g[9:]])
     assert ncpart.mobius(NonCrossingPartition.singletons(g), sigma) == \
@@ -525,7 +520,7 @@ def _per_partition_sum(phi, letters):
     g = tuple(range(1, len(letters) + 1))
     top = NonCrossingPartition.whole(g)
     total = 0
-    for blocks in ncpart._iter_partitions(len(g)):
+    for blocks in ncpart._partitions(len(g)):
         pi = NonCrossingPartition(g, [[i + 1 for i in b] for b in blocks])
         term = ncpart.mobius(pi, top)
         for b in blocks:
@@ -556,24 +551,17 @@ def test_moments_to_cumulants_matches_the_per_partition_sum():
                 _per_partition_sum(values, letters[:q])
 
 
-def test_streamed_cumulants_match_the_table(monkeypatch):
-    # above _CACHE_LIMIT the walk streams: same values, same calls in the
-    # same order, and no table is built
-    rng = random.Random(23)
-    values = functools.cache(
-        lambda w: Fraction(rng.randint(-50, 50), rng.randint(1, 20)))
-    letters = tuple("abcdefg")
-    ncpart._mobius_table.cache_clear()
-    tabled = []
-    for q in range(1, 8):
-        phi, calls = _counting(values)
-        tabled.append((ncpart.moments_to_cumulants(phi, letters[:q]), calls))
-    ncpart._mobius_table.cache_clear()
-    monkeypatch.setattr(ncpart, "_CACHE_LIMIT", 0)
-    for q in range(1, 8):
-        phi, calls = _counting(values)
-        assert (ncpart.moments_to_cumulants(phi, letters[:q]), calls) == tabled[q - 1]
-    assert ncpart._mobius_table.cache_info().currsize == 0
+def test_a_refused_size_stores_nothing():
+    # each NC(k) table checks the limit inside its memoised body
+    ncpart.enumerate_nc(range(1, 4))
+    ncpart.moments_to_cumulants(lambda w: 1, "xyz")
+    tables = (ncpart._partitions, ncpart._mobius_table)
+    before = [t.cache_info().currsize for t in tables]
+    with pytest.raises(SizeLimitError):
+        ncpart.enumerate_nc(range(1, _ABOVE + 1))
+    with pytest.raises(SizeLimitError):
+        ncpart.moments_to_cumulants(lambda w: 1, ("x",) * _ABOVE)
+    assert [t.cache_info().currsize for t in tables] == before
 
 
 def test_moments_to_cumulants_refuses_before_any_call():
