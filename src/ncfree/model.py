@@ -47,6 +47,9 @@ class ModelLetter(Record):
     memo tables (``_tau``, ``_tau_numerator``, ``_product_trace``,
     ``_matrix_cumulant``, ``rmt._compile_plan``), and a field-derived hash
     would re-hash every ``Fraction`` entry of the matrix at each lookup.
+    hash(-1) == hash(-2) for ints and Fractions, so the hash also mixes in
+    which entries are -1; without that, letters that differ only by
+    -1 <-> -2 entries would all collide.  No output order depends on it.
     """
     __slots__ = ("matrix", "_hash")
     _fields = ("matrix",)
@@ -56,12 +59,12 @@ class ModelLetter(Record):
             # square rows of Fractions, so that letters hash and compare by value
             matrix = ratmat.matrix(matrix)
         # () stands in for Z: hash(None) differs between processes before 3.12
-        self._set(matrix=matrix, _hash=hash(matrix or ()))
+        minus_one = tuple(x == -1 for row in matrix or () for x in row)
+        self._set(matrix=matrix, _hash=hash((matrix or (), minus_one)))
 
     def __eq__(self, other):
-        # memo lookups compare letters whose hashes collide, which is common
-        # for small entries (hash(-1) == hash(-2)), so skip the generic field
-        # tuples here
+        # memo lookups compare letters whose hashes collide, so skip the
+        # generic field tuples here
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.matrix == other.matrix

@@ -19,9 +19,15 @@ G_ij = X_i^T X_j, and for a word cut before each generator letter,
 by cycling X^T to the front of the trace, with no N-by-N product at all.
 A unit factor c = E_ij is the Gram block G_ij itself, a zero factor makes
 the trace an exact 0, and any other W(c) is summed once per trial.  The
-words of a batch share their head products W(c_1) ... W(c_{k-1}): each
-distinct head is multiplied once per trial, and each word then costs one
-O(M^2) trace.  Each word's factors c_1, ..., c_k are compiled once per
+trace splits at h = ceil(k/2) into two half products,
+
+    tr(W(c_1) ... W(c_k)) = sum_ij L_ij R^T_ij,
+    L = W(c_1) ... W(c_h),   R^T = W(c_k^T) ... W(c_{h+1}^T),
+
+as W(c)^T = W(c^T), so both halves are prefix products of a factor
+sequence.  The words of a batch share them: each distinct half prefix is
+multiplied once per trial, and each word then costs one O(M^2) entrywise
+sum.  Each word's factors c_1, ..., c_k are compiled once per
 (word, n) in exact arithmetic and memoised under the package's memo policy:
 the word is validated when the memo misses, and a bad word leaves no entry,
 so it raises ``ConfigError`` on every call.  The spectrum of A likewise
@@ -73,6 +79,13 @@ SUPPORT_SLACK = 0.3
 # a two-core machine took 1.1 s and 85 MB resident at N=2000, 0.9 s and
 # 225 MB at 4000, and 5.8 s and 781 MB at 8000; X alone grows like N**2
 N_LIMIT = 8000
+# the most eigenvalues, trials * N, that one spectra call stacks: the
+# samples of trials 0..T-1 stay alive together as float64.  ``rmt sample``
+# in a fresh process on a two-core machine peaked at 37 MB resident for
+# 1,000 values, 74 MB for 10**6 (N=1000, 23 s) and 134 MB at the limit
+# (N=100, 40,000 trials, 10 s); with --out, which lists every value as a
+# Python float, 101 MB and 255 MB
+SPECTRUM_VALUE_LIMIT = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -165,10 +178,20 @@ def sample_free_poisson(config: SimulationConfig) -> np.ndarray:
     has rank M, so its other N - M eigenvalues are structural zeros,
     written as exact zeros rather than computed.  A trial whose draw the
     word traces just made reuses it; the sum is formed the same way either
-    way, so the samples do not depend on the cache.
+    way, so the samples do not depend on the cache.  More than
+    ``SPECTRUM_VALUE_LIMIT`` samples are refused before any draw.
     """
+    _check_spectra_size(config)
     return np.stack([_spectrum(config, _trial_draw(config, t)[1])
                      for t in range(config.trials)])
+
+
+def _check_spectra_size(config: SimulationConfig) -> None:
+    values = config.trials * config.N
+    if values > SPECTRUM_VALUE_LIMIT:
+        raise SizeLimitError(
+            f"{config.trials} trials at N={config.N} are {values:,} eigenvalues, "
+            f"above the Monte Carlo spectrum limit of {SPECTRUM_VALUE_LIMIT:,}")
 
 
 def _spectrum(config: SimulationConfig, diag) -> np.ndarray:
@@ -297,6 +320,30 @@ def _shared_length(a: tuple, b: tuple) -> int:
     return k
 
 
+def _halves(plan: tuple) -> tuple[tuple, tuple]:
+    """Split c_1, ..., c_k at h = ceil(k/2) into c_1..c_h and c_k^T..c_{h+1}^T."""
+    h = (len(plan) + 1) // 2
+    return plan[:h], tuple(tuple(zip(*c)) for c in reversed(plan[h:]))
+
+
+def _push_products(stack: list, factors: tuple, gram: dict, built: dict,
+                   shared: list) -> None:
+    """Extend ``stack`` to the prefix products of ``factors``, left to right.
+
+    ``stack[d]`` is W(f_1) ... W(f_{d+1}), or None once a factor is zero.
+    Levels below ``len(shared)`` are taken from ``shared``, the stack of a
+    sequence with the same prefix, whose arrays hold the same bits.
+    """
+    for d in range(len(stack), len(factors)):
+        if d < len(shared):
+            stack.append(shared[d])
+            continue
+        w = _gram_combination(factors[d], gram, built)
+        if d:
+            w = None if stack[-1] is None or w is None else stack[-1] @ w
+        stack.append(w)
+
+
 class FreePairSampler:
     """Joint sampler for the Wishart generator and embedded matrix letters.
 
@@ -305,26 +352,36 @@ class FreePairSampler:
     spectra.  A trial takes X's row blocks and the diagonal Gram blocks
     G_ii from :func:`_trial_draw` and forms only the off-diagonal G_ij; the
     spectrum of the same trial, eigvalsh of sum_i G_ii in
-    :func:`sample_free_poisson`, reuses that draw.  The words
-    of the batch share each W(c) and each head product
-    W(c_1) ... W(c_{k-1}) within the trial, and nothing is shared between
-    trials.  A trial holds at most (longest plan - 1) head products at
-    once, plus the summed W(c) of its distinct non-unit factors.  Every
-    product is formed left to right from the same arrays whatever the
-    batch, so a word's estimate does not depend on the words batched with
-    it or on their order.
+    :func:`sample_free_poisson`, reuses that draw.
+
+    A plan Z c_1 ... Z c_k splits at h = ceil(k/2) into two halves whose
+    products are both prefix products: L = W(c_1) ... W(c_h) and
+    R^T = W(c_k^T) ... W(c_{h+1}^T), as W(c)^T = W(c^T).  Its trace is then
+    tr(L R) = sum L * R^T entrywise, one O(M^2) pass with no BLAS call, and
+    a plan of k <= 4 factors needs at most one matrix product per half.
+    The words of the batch share each W(c) and each half product within the
+    trial, and nothing is shared between trials.  A trial holds at most
+    (longest plan - 2) half products at once, plus the summed W(c) of the
+    distinct non-unit factors of both halves, the n(n-1)/2 off-diagonal
+    Gram blocks, and one scaled term while a W(c) is summed.  Every half is
+    formed left to right from the same arrays whatever the batch, so a
+    word's estimate does not depend on the words batched with it or on
+    their order.
     """
 
     def __init__(self, config: SimulationConfig):
         self.config = config
 
-    def _trial_values(self, rows, diag, plans) -> list[float]:
+    def _trial_values(self, rows, diag, halves) -> list[float]:
         """Traces of the mixed plans in one trial, from its draw.
 
-        The plans are visited sorted by head, so those sharing a head
-        prefix are adjacent.  ``heads[d]`` holds W(c_1) ... W(c_{d+1}) of the
-        current head (None once a factor is zero) and is dropped as soon
-        as the next plan no longer shares it.
+        ``halves`` holds each plan's (left, right) from :func:`_halves`,
+        sorted, so plans sharing a left prefix are adjacent, and so are the
+        plans of one left whose rights share a prefix.  ``lefts[d]`` and
+        ``rights[d]`` hold the products of the first d + 1 factors of the
+        current left and right, and are dropped as soon as the next plan no
+        longer shares them.  A right prefix equal to the left one reuses the
+        left's arrays.
         """
         cfg = self.config
         n, N = cfg.n, cfg.N
@@ -338,27 +395,26 @@ class FreePairSampler:
                 gram[j, i] = g.T
         built: dict = {}
         scale = cfg.jump / N
-        order = sorted(range(len(plans)),
-                       key=lambda p: (plans[p][:-1], plans[p][-1]))
-        values = [0.0] * len(plans)
-        heads: list = []
-        for pos, p in enumerate(order):
-            head, last = plans[p][:-1], plans[p][-1]
-            for c in head[len(heads):]:
-                w = _gram_combination(c, gram, built)
-                if heads:
-                    w = None if heads[-1] is None or w is None else heads[-1] @ w
-                heads.append(w)
-            w = _gram_combination(last, gram, built)
-            if w is None or (heads and heads[-1] is None):
+        values = []
+        lefts: list = []
+        rights: list = []
+        left = right = ()
+        for next_left, next_right in halves:
+            del lefts[_shared_length(left, next_left):]
+            del rights[_shared_length(right, next_right):]
+            left, right = next_left, next_right
+            _push_products(lefts, left, gram, built, [])
+            _push_products(rights, right, gram, built,
+                           lefts[:_shared_length(left, right)])
+            # no local keeps a product alive past the truncation above
+            if lefts[-1] is None or (right and rights[-1] is None):
                 trace = 0.0
-            elif heads:
-                trace = np.einsum("ij,ji->", heads[-1], w)
+            elif right:
+                trace = np.einsum("ij,ij->", lefts[-1], rights[-1])
             else:
-                trace = np.trace(w)
-            values[p] = scale ** len(plans[p]) * float(trace) / N
-            following = plans[order[pos + 1]][:-1] if pos + 1 < len(order) else ()
-            del heads[_shared_length(head, following):]
+                trace = np.trace(lefts[-1])
+            k = len(left) + len(right)
+            values.append(scale ** k * float(trace) / N)
         return values
 
     def estimate_words(self, words: Sequence[Sequence[ModelLetter]]
@@ -378,6 +434,8 @@ class FreePairSampler:
     def _walk(self, words, spectra: bool):
         cfg = self.config
         T = cfg.trials
+        if spectra:
+            _check_spectra_size(cfg)
         words = [tuple(w) for w in words]
         try:
             plans = [_compile_plan(w, cfg.n) for w in words]
@@ -386,26 +444,35 @@ class FreePairSampler:
             for w in words:
                 _split_word(w, ModelParams(cfg.n))
             raise
-        mixed = list(dict.fromkeys(p for p in plans if isinstance(p, tuple)))
+        halves = {p: _halves(p) for p in plans if isinstance(p, tuple)}
+        mixed = sorted(halves, key=halves.get)
         column = {p: j for j, p in enumerate(mixed)}
+        order = [halves[p] for p in mixed]
 
-        # matrix-only words need no draw when no spectrum is asked for
-        eigs, values = [], []
+        # matrix-only words need no draw when no spectrum is asked for; one
+        # contiguous row of trials per plan, so each row's mean and spread
+        # are reduced in the same order whatever the batch
+        eigs = []
+        values = np.empty((len(mixed), T))
         if spectra or mixed:
             for trial in range(T):
                 rows, diag = _trial_draw(cfg, trial)
                 if spectra:
                     eigs.append(_spectrum(cfg, diag))
-                values.append(self._trial_values(rows, diag, mixed) if mixed else [])
-        values = np.array(values)
+                if mixed:
+                    values[:, trial] = self._trial_values(rows, diag, order)
+        means = values.mean(axis=1).tolist()
+        if T > 1:
+            errors = (values.std(axis=1, ddof=1) / math.sqrt(T)).tolist()
+        else:
+            errors = [0.0] * len(mixed)
         out = []
         for p in plans:
-            if not isinstance(p, tuple):
+            if isinstance(p, tuple):
+                j = column[p]
+                out.append(MomentEstimate(means[j], errors[j], T))
+            else:
                 out.append(MomentEstimate(p, 0.0, T))
-                continue
-            col = values[:, column[p]]
-            se = float(np.std(col, ddof=1) / math.sqrt(T)) if T > 1 else 0.0
-            out.append(MomentEstimate(float(col.mean()), se, T))
         return (np.stack(eigs) if spectra else None), out
 
     def estimate(self, word: Sequence[ModelLetter]) -> MomentEstimate:

@@ -466,6 +466,19 @@ def test_huge_matrix_sizes_are_refused_before_any_draw(capsys, cmd):
     assert "Traceback" not in err
 
 
+def test_rmt_sample_above_the_spectrum_limit_is_refused_before_any_draw(capsys):
+    # trials * N one step past rmt.SPECTRUM_VALUE_LIMIT: --trials has no
+    # bound of its own, and the stacked samples would grow without one
+    from ncfree import rmt
+    trials = rmt.SPECTRUM_VALUE_LIMIT // 100 + 1
+    t0 = time.perf_counter()
+    err = expect_usage_error(capsys, "rmt", "sample", "--n", "2", "--N", "100",
+                             "--trials", str(trials))
+    assert time.perf_counter() - t0 < 1.0
+    assert "spectrum limit" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -5,6 +5,7 @@ derived by hand; longer words are cross-checked against the centering
 recursion and the partition-sum consistency identities.
 """
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -106,6 +107,15 @@ def test_letter_hash_is_stored_outside_the_fields():
     assert rebuilt is not E11
     assert rebuilt == E11
     assert hash(rebuilt) == hash(E11)
+
+
+def test_letters_differing_by_minus_one_and_minus_two_hash_apart():
+    # hash(-1) == hash(-2), so the 625 letters with entries in -2..2 fell
+    # into 256 hash classes when the hash read the matrix alone
+    pool = [ModelLetter([[a, b], [c, d]])
+            for a, b, c, d in itertools.product(range(-2, 3), repeat=4)]
+    assert len(set(pool)) == 625
+    assert len({hash(letter) for letter in pool}) >= 620
 
 
 def _value_objects():

@@ -4,9 +4,10 @@ The heaviest correctness check here rebuilds each trial's Gaussian block X
 and evaluates words by explicit embedding, multiplying the N-by-N Wishart
 matrix and the letters b kron I, then compares against the optimized path
 that cycles each word into Z c_1 ... Z c_k and evaluates it through the
-Gram blocks of X, sharing head products across the batch.  A word's
-estimate must not depend on its batch, and back-to-back batches must not
-hold on to memory.  The spectra, taken from the eigenvalues of the Gram
+Gram blocks of X, as the entrywise product of two half products shared
+across the batch.  A word's estimate must not depend on its batch, a batch
+must keep no more products alive than the sampler's stated bound, and
+back-to-back batches must not hold on to memory.  The spectra, taken from the eigenvalues of the Gram
 X^T X = sum_i G_ii, are checked against the squared singular values of X.
 Words and spectra share each trial's memoised draw, and neither may depend
 on whether the draw was cached.
@@ -29,9 +30,11 @@ from ncfree.errors import ConfigError, SizeLimitError
 from ncfree.model import Z, matrix_letter
 from ncfree.rmt import (
     N_LIMIT,
+    SPECTRUM_VALUE_LIMIT,
     FreePairSampler,
     SimulationConfig,
     _compile_plan,
+    _halves,
     _rng,
     _trial_draw,
     atom_mass_estimate,
@@ -84,6 +87,20 @@ def test_matrix_sizes_above_the_limit_are_refused():
         with pytest.raises(SizeLimitError, match="size limit"):
             SimulationConfig(n=2, N=N, trials=1)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_spectra_above_the_value_limit_are_refused_before_any_draw():
+    # one past the limit of stacked eigenvalues; every call refuses at once
+    cfg = SimulationConfig(n=2, N=100, trials=SPECTRUM_VALUE_LIMIT // 100 + 1)
+    sampler = FreePairSampler(cfg)
+    clear_caches()
+    t0 = time.perf_counter()
+    for call in (lambda: sample_free_poisson(cfg),
+                 lambda: sampler.spectra_and_words([(Z,)])):
+        with pytest.raises(SizeLimitError, match="spectrum limit"):
+            call()
+    assert time.perf_counter() - t0 < 1.0
+    assert _trial_draw.cache_info().misses == 0
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +276,9 @@ def sampled_words(alphabet, lengths, count, seed):
     (3, [Z, E11_3, MIX_3]),
 ])
 def test_word_batch_matches_naive_embedding(n, alphabet):
-    # one batch, so words share W(c) and head products within each trial;
-    # the sampled long words share heads of two to four factors
+    # one batch, so words share W(c) and half products within each trial;
+    # the sampled long words share heads of two to four factors, and half
+    # prefixes of two and three
     cfg = SimulationConfig(n=n, N=120, trials=2, seed=19)
     words = [w for q in range(1, 5) for w in itertools.product(alphabet, repeat=q)
              if Z in w]
@@ -268,10 +286,87 @@ def test_word_batch_matches_naive_embedding(n, alphabet):
     plans = {_compile_plan(w, n) for w in words}
     heads = Counter(p[:k] for p in plans for k in (2, 3, 4) if len(p) > k)
     assert {len(h) for h, count in heads.items() if count > 1} == {2, 3, 4}
+    halves = Counter(h[:k] for p in plans for h in _halves(p) for k in (2, 3)
+                     if len(h) >= k)
+    assert {len(h) for h, count in halves.items() if count > 1} == {2, 3}
     got = FreePairSampler(cfg).estimate_words(words)
     for word, est in zip(words, got):
         expected = np.mean([naive_word_trace(word, cfg, t) for t in range(2)])
         assert est.value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, words", [
+    (2, [(Z, E11, SKEW, Z, SYM, Z, SKEW),       # length 7, k = 3
+         (Z, SKEW, Z, SYM, Z, E11, Z),          # length 7, k = 4
+         (Z, E11, Z, SKEW, Z, SYM, Z, SKEW),    # length 8, k = 4
+         (Z, SKEW, Z, Z, E11, Z, SYM, Z),       # length 8, k = 5
+         (Z, Z, SKEW, Z, Z, Z, SYM, Z),         # length 8, k = 6
+         (Z, Z, Z, SKEW, Z, Z, Z, Z)]),         # length 8, k = 7
+    (3, [(Z, MIX_3, E11_3, Z, MIX_3, Z, MIX_3),
+         (Z, MIX_3, Z, E11_3, Z, MIX_3, Z),
+         (Z, E11_3, Z, MIX_3, Z, MIX_3, Z, MIX_3),
+         (Z, MIX_3, Z, Z, E11_3, Z, MIX_3, Z),
+         (Z, Z, MIX_3, Z, Z, Z, MIX_3, Z),
+         (Z, Z, Z, MIX_3, Z, Z, Z, Z)]),
+])
+def test_long_words_of_both_parities_match_naive_embedding(n, words):
+    # an odd k splits into halves of unequal length, an even k into equal
+    # ones, whose right half may reuse the left's products
+    assert {len(_compile_plan(w, n)) % 2 for w in words} == {0, 1}
+    cfg = SimulationConfig(n=n, N=120, trials=2, seed=67)
+    got = FreePairSampler(cfg).estimate_words(words)
+    for word, est in zip(words, got):
+        expected = np.mean([naive_word_trace(word, cfg, t) for t in range(2)])
+        assert est.value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, word", [
+    (2, (Z, E11, Z, SKEW, Z, SYM, Z, SKEW)),
+    (2, (Z, SKEW, SYM, Z, SKEW, Z, E11)),
+    (3, (Z, MIX_3, Z, E11_3, Z, MIX_3, Z, MIX_3)),
+    (3, (Z, MIX_3, MIX_3, Z, E11_3, Z, MIX_3)),
+])
+def test_cyclic_rotations_agree(n, word):
+    # every generator run is one Z, so the rotations compile to as many
+    # plans as the word has Z's, each split at its own midpoint; they are
+    # traces of one matrix and differ only by rounding
+    rotations = [word[i:] + word[:i] for i in range(len(word))]
+    assert len({_compile_plan(r, n) for r in rotations}) == word.count(Z)
+    cfg = SimulationConfig(n=n, N=120, trials=2, seed=61)
+    values = [e.value for e in FreePairSampler(cfg).estimate_words(rotations)]
+    for value in values:
+        assert value == pytest.approx(values[0], rel=1e-12)
+
+
+def _summed(c) -> bool:
+    # W(c) is a new array unless c is zero or a single unit E_ij
+    return [a for row in c for a in row if a] not in ([], [1.0])
+
+
+def test_a_batch_keeps_at_most_the_stated_products_alive():
+    # FreePairSampler's bound: (longest plan - 2) half products, the summed
+    # W(c) of both halves, the off-diagonal Gram blocks and, where some
+    # coefficient is not 1, one scaled term; a store of every half prefix of
+    # this batch would hold far more
+    n = 2
+    cfg = SimulationConfig(n=n, N=400, trials=1, seed=71)
+    words = sampled_words([Z, E11, SYM], (7, 8), 80, seed=73)
+    plans = {_compile_plan(w, n) for w in words}
+    halves = [h for p in plans for h in _halves(p)]
+    summed = {c for h in halves for c in h if _summed(c)}
+    scaled = any(a not in (0.0, 1.0) for c in summed for row in c for a in row)
+    bound = max(map(len, plans)) - 2 + len(summed) + n * (n - 1) // 2 + scaled
+    prefixes = {h[:d] for h in halves for d in range(2, len(h) + 1)}
+    assert len(prefixes) > 3 * bound
+    sampler = FreePairSampler(cfg)
+    sampler.estimate_words(words)  # keep the draw, so only products count
+    tracemalloc.start()
+    try:
+        sampler.estimate_words(words)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (bound + 0.5) * (cfg.N // n) ** 2 * 8
 
 
 @pytest.mark.parametrize("n, alphabet", [
@@ -291,6 +386,16 @@ def test_estimates_do_not_depend_on_the_batch(n, alphabet):
     for k, i in enumerate(perm):
         assert shuffled[k] == batch[i]
     for word, est in zip(words, batch):
+        assert sampler.estimate(word) == est
+
+
+def test_estimates_past_eight_trials_do_not_depend_on_the_batch():
+    # numpy sums eight or more values pairwise; each plan's trials are one
+    # contiguous row, reduced in the same order alone and in a batch
+    cfg = SimulationConfig(n=2, N=120, trials=9, seed=47)
+    sampler = FreePairSampler(cfg)
+    words = sampled_words([Z, E11, SYM, SKEW], range(1, 6), 12, seed=5)
+    for word, est in zip(words, sampler.estimate_words(words)):
         assert sampler.estimate(word) == est
 
 
