@@ -3,10 +3,10 @@
 ``import dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``,
 which costs a fresh ``ncfree`` process more start-up time than most exact
 CLI ops spend computing.  The value classes of :mod:`ncfree.model`,
-:mod:`ncfree.freeprob` and :mod:`ncfree.factors` therefore derive from
-:class:`Record`, which gives a ``__slots__`` class what a frozen dataclass
-gave it: assignment raises, and instances compare, hash, print and pickle
-by their fields.
+:mod:`ncfree.freeprob`, :mod:`ncfree.factors` and :mod:`ncfree.verify`
+therefore derive from :class:`Record`, which gives a ``__slots__`` class
+what a frozen dataclass gave it: assignment raises, and instances compare,
+hash, print and pickle by their fields.
 """
 from __future__ import annotations
 

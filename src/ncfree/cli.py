@@ -2,10 +2,13 @@
 
 Every subcommand prints one JSON document (sorted keys) on stdout with the
 fields op, params, result, provenance, and version; diagnostics go to
-stderr.  Exact subcommands exchange rationals as "p/q" strings; floats are
-confined to the ``rmt`` subcommands.  Exit codes: 0 success, 1 verification
-failure or internal inconsistency (``InconsistencyError``), 2 usage or input
-error.
+stderr.  A handler returns its params and result (``free check`` and
+``verify all`` also their exit code), and :func:`main` builds the document
+around them: op is ``"<group> <cmd>"``, provenance is ``montecarlo`` for
+the ``rmt`` subcommands and ``verify all --rmt`` and ``exact`` otherwise.
+Exact subcommands exchange rationals as "p/q" strings; floats are confined
+to the ``rmt`` subcommands.  Exit codes: 0 success, 1 verification failure
+or internal inconsistency (``InconsistencyError``), 2 usage or input error.
 
 Word letters use a compact text syntax, whitespace separated: ``Z`` for the
 generator, ``M[[a,b],[c,d]]`` for a matrix letter with rational entries such
@@ -32,9 +35,6 @@ from .errors import (ArityError, GroundMismatchError, InconsistencyError,
 if TYPE_CHECKING:
     from .model import ModelLetter
 
-EXACT = "exact"
-MONTECARLO = "montecarlo"
-
 # nc pitilde grows with q in a fresh process on a two-core machine: one mark
 # took 0.25 s and 29 MB at q=10**5 and 1.5 s and 138 MB at q=10**6; odd marks
 # paired {1,3}{5,7}... cost quadratically in pi_tilde alone, 0.05 s at
@@ -52,11 +52,6 @@ NC_PITILDE_LIMIT = 10_000
 # n=5 --max-q 4 (8.3e6, 4.1 s), n=11 --max-q 3 (8.4e6, 4.2 s) and n=2
 # --max-q 7 (3.6e7, 17 s)
 FREE_CHECK_BUDGET = 6_500_000
-
-
-def _doc(op: str, params: dict, result, provenance: str) -> dict:
-    return {"op": op, "params": params, "result": result,
-            "provenance": provenance, "version": __version__}
 
 
 def _digit_limit_error() -> SizeLimitError:
@@ -134,23 +129,22 @@ def _parse_rational_list(text: str) -> list[Fraction]:
 # nc subcommands
 
 
-def _cmd_nc_enum(args) -> tuple[dict, int]:
+def _cmd_nc_enum(args) -> tuple[dict, object]:
     if args.q < 0:
         raise ArityError(f"--q must be >= 0, got {args.q}")
     parts = ncpart.enumerate_nc(range(1, args.q + 1))
-    result = {"count": len(parts), "partitions": [str(p) for p in parts]}
-    return _doc("nc enum", {"q": args.q}, result, EXACT), 0
+    return {"q": args.q}, {"count": len(parts),
+                           "partitions": [str(p) for p in parts]}
 
 
-def _cmd_nc_mobius(args) -> tuple[dict, int]:
+def _cmd_nc_mobius(args) -> tuple[dict, object]:
     pi = ncpart.NonCrossingPartition.from_string(args.pi)
     sigma = ncpart.NonCrossingPartition.from_string(args.sigma)
     value = ncpart.mobius(pi, sigma)
-    params = {"pi": str(pi), "sigma": str(sigma)}
-    return _doc("nc mobius", params, _exact(value), EXACT), 0
+    return {"pi": str(pi), "sigma": str(sigma)}, _exact(value)
 
 
-def _cmd_nc_pitilde(args) -> tuple[dict, int]:
+def _cmd_nc_pitilde(args) -> tuple[dict, object]:
     if args.q > NC_PITILDE_LIMIT:
         raise SizeLimitError(f"nc pitilde takes at most --q {NC_PITILDE_LIMIT}, "
                              f"got --q {args.q}")
@@ -161,16 +155,15 @@ def _cmd_nc_pitilde(args) -> tuple[dict, int]:
     E = tuple(i for i in range(1, args.q + 1) if i not in marks)
     pi = ncpart.NonCrossingPartition.from_string(args.pi, ground=D)
     comp = ncpart.pi_tilde(D, E, pi)
-    params = {"q": args.q, "d": list(D), "pi": str(pi)}
-    return _doc("nc pitilde", params, str(comp), EXACT), 0
+    return {"q": args.q, "d": list(D), "pi": str(pi)}, str(comp)
 
 
 # ---------------------------------------------------------------------------
 # cumulants subcommands
 
 
-def _cmd_cumulants(cmd: str, option: str, pad: int, transform,
-                   args) -> tuple[dict, int]:
+def _cmd_cumulants(option: str, pad: int, transform,
+                   args) -> tuple[dict, object]:
     # the list given as --<option> is the functional on words of length
     # 1, 2, ...; pad is its value on the empty word
     values = _parse_rational_list(getattr(args, option))
@@ -179,23 +172,24 @@ def _cmd_cumulants(cmd: str, option: str, pad: int, transform,
     table = [Fraction(pad)] + values
     out = [transform(lambda word: table[len(word)], ("x",) * q)
            for q in range(1, len(values) + 1)]
-    params = {option: [str(v) for v in values]}
-    return _doc(f"cumulants {cmd}", params, [_exact(v) for v in out], EXACT), 0
+    return {option: [str(v) for v in values]}, [_exact(v) for v in out]
 
 
 # ---------------------------------------------------------------------------
-# model subcommands
+# model and free subcommands
 
 
-def _cmd_model_tau(args) -> tuple[dict, int]:
+def _cmd_word_trace(route: str, args) -> tuple[dict, object]:
+    # route names the model function that computes the trace, tau_word
+    # (model tau) or centering_moment (free product-moment); a name, since
+    # model loads only when a handler runs
     from . import model
     word = parse_word(args.word)
-    value = model.tau_word(word, model.ModelParams(args.n))
-    params = {"n": args.n, "word": args.word}
-    return _doc("model tau", params, _exact(value), EXACT), 0
+    value = getattr(model, route)(word, model.ModelParams(args.n))
+    return {"n": args.n, "word": args.word}, _exact(value)
 
 
-def _cmd_model_pi_term(args) -> tuple[dict, int]:
+def _cmd_model_pi_term(args) -> tuple[dict, object]:
     from . import model
     word = parse_word(args.word)
     params = model.ModelParams(args.n)
@@ -211,29 +205,18 @@ def _cmd_model_pi_term(args) -> tuple[dict, int]:
                          for v, t in term.block_traces],
         "value": _exact(term.value),
     }
-    params = {"n": args.n, "word": args.word, "pi": str(pi)}
-    return _doc("model pi-term", params, result, EXACT), 0
+    return {"n": args.n, "word": args.word, "pi": str(pi)}, result
 
 
-def _cmd_model_z_moment(args) -> tuple[dict, int]:
+def _cmd_model_power(option: str, route: str, args) -> tuple[dict, object]:
+    # route(e, params) for e given as --<option>: z_moment (model z-moment,
+    # at least n**(m-1)) or dim_box (model dims, exactly n**(k-1))
     from . import model
     params = model.ModelParams(args.n)
-    _refuse_power_past_digit_limit(args.n, args.m - 1)  # z_moment >= n**(m-1)
-    value = model.z_moment(args.m, params)
-    return _doc("model z-moment", {"n": args.n, "m": args.m}, _exact(value),
-                EXACT), 0
-
-
-def _cmd_model_dims(args) -> tuple[dict, int]:
-    from . import model
-    params = model.ModelParams(args.n)
-    _refuse_power_past_digit_limit(args.n, args.k - 1)
-    value = model.dim_box(args.k, params)
-    return _doc("model dims", {"n": args.n, "k": args.k}, _exact(value), EXACT), 0
-
-
-# ---------------------------------------------------------------------------
-# free subcommands
+    exponent = getattr(args, option)
+    _refuse_power_past_digit_limit(args.n, exponent - 1)
+    value = getattr(model, route)(exponent, params)
+    return {"n": args.n, option: exponent}, _exact(value)
 
 
 def _free_check_cost(n: int, max_q: int) -> int:
@@ -249,7 +232,7 @@ def _free_check_cost(n: int, max_q: int) -> int:
     return cost
 
 
-def _cmd_free_check(args) -> tuple[dict, int]:
+def _cmd_free_check(args) -> tuple[dict, object, int]:
     from . import freeprob, model
     params_model = model.ModelParams(args.n)
     if _free_check_cost(args.n, args.max_q) > FREE_CHECK_BUDGET:
@@ -268,35 +251,26 @@ def _cmd_free_check(args) -> tuple[dict, int]:
         "violations": [{"word": model._word_label(w), "value": _exact(v)}
                        for w, v in report.violations],
     }
-    doc = _doc("free check", {"n": args.n, "max_q": args.max_q}, result, EXACT)
-    return doc, 0 if report.certified else 1
-
-
-def _cmd_free_product_moment(args) -> tuple[dict, int]:
-    from . import model
-    word = parse_word(args.word)
-    value = model.centering_moment(word, model.ModelParams(args.n))
-    params = {"n": args.n, "word": args.word}
-    return _doc("free product-moment", params, _exact(value), EXACT), 0
+    return ({"n": args.n, "max_q": args.max_q}, result,
+            0 if report.certified else 1)
 
 
 # ---------------------------------------------------------------------------
 # factor subcommands
 
 
-def _cmd_factor_dykema(args) -> tuple[dict, int]:
+def _cmd_factor_dykema(args) -> tuple[dict, object]:
     from . import factors
     desc = factors.dykema_free_product(
         ratmat.parse_rational(args.r), ratmat.parse_rational(args.alpha), args.d)
-    params = {"r": args.r, "alpha": args.alpha, "d": args.d}
-    return _doc("factor dykema", params, _exact(desc), EXACT), 0
+    return {"r": args.r, "alpha": args.alpha, "d": args.d}, _exact(desc)
 
 
-def _cmd_factor_m3(args) -> tuple[dict, int]:
+def _cmd_factor_m3(args) -> tuple[dict, object]:
     from . import factors, model
     parameter = factors.m3_parameter(model.ModelParams(args.n))
     summand = factors.Summand(Fraction(1), factors.FREE_GROUP, parameter)
-    return _doc("factor m3", {"n": args.n}, _exact(summand), EXACT), 0
+    return {"n": args.n}, _exact(summand)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +283,7 @@ def _rmt_config(args):
                                 seed=args.seed)
 
 
-def _cmd_rmt_sample(args) -> tuple[dict, int]:
+def _cmd_rmt_sample(args) -> tuple[dict, object]:
     from . import rmt
     config = _rmt_config(args)
     eigs = rmt.sample_free_poisson(config)
@@ -321,7 +295,6 @@ def _cmd_rmt_sample(args) -> tuple[dict, int]:
         "second_moment": float((eigs ** 2).mean()),
         "support": [a, b],
     }
-    params = {"n": args.n, "N": args.N, "trials": args.trials, "seed": args.seed}
     if args.out:
         header = json.dumps(
             {"N": config.N, "n": config.n, "seed": config.seed,
@@ -331,15 +304,18 @@ def _cmd_rmt_sample(args) -> tuple[dict, int]:
             with open(args.out, "w") as fh:
                 fh.write(f"# {header}\n")
                 fh.write("eigenvalue\n")
-                for value in eigs.ravel().tolist():
-                    fh.write(f"{value!r}\n")
+                # one trial's values at a time, never a float object per
+                # eigenvalue of the whole sample
+                for row in eigs:
+                    fh.writelines(f"{value!r}\n" for value in row.tolist())
         except OSError as exc:
             raise OutputError(f"cannot write {args.out}: {exc.strerror}") from exc
         result["csv"] = args.out
-    return _doc("rmt sample", params, result, MONTECARLO), 0
+    params = {"n": args.n, "N": args.N, "trials": args.trials, "seed": args.seed}
+    return params, result
 
 
-def _cmd_rmt_estimate(args) -> tuple[dict, int]:
+def _cmd_rmt_estimate(args) -> tuple[dict, object]:
     from . import rmt
     config = _rmt_config(args)
     word = parse_word(args.word)
@@ -348,14 +324,14 @@ def _cmd_rmt_estimate(args) -> tuple[dict, int]:
               "trials": est.trials, "std_error_ok": est.std_error_ok}
     params = {"n": args.n, "N": args.N, "trials": args.trials,
               "seed": args.seed, "word": args.word}
-    return _doc("rmt estimate", params, result, MONTECARLO), 0
+    return params, result
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _cmd_verify_all(args) -> tuple[dict, int]:
+def _cmd_verify_all(args) -> tuple[dict, object, int]:
     from . import verify
     results = verify.run_all(
         quick=args.quick, include_rmt=args.rmt,
@@ -364,9 +340,7 @@ def _cmd_verify_all(args) -> tuple[dict, int]:
     result = {"ok": ok,
               "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail,
                           "seconds": round(r.seconds, 3)} for r in results]}
-    params = {"quick": args.quick, "rmt": args.rmt}
-    provenance = MONTECARLO if args.rmt else EXACT
-    return _doc("verify all", params, result, provenance), 0 if ok else 1
+    return {"quick": args.quick, "rmt": args.rmt}, result, 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +353,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact non-crossing partition calculus and the coupled "
                     "generator-plus-matrices moment model.")
     sub = parser.add_subparsers(dest="group", required=True)
+
+    # options that several subcommands share, declared once each; a
+    # subcommand's parents come before its own options, in their order
+    n_opt = argparse.ArgumentParser(add_help=False)
+    n_opt.add_argument("--n", type=int, required=True)
+    word_opt = argparse.ArgumentParser(add_help=False)
+    word_opt.add_argument("--word", required=True)
+    rmt_opt = argparse.ArgumentParser(add_help=False, parents=[n_opt])
+    rmt_opt.add_argument("--N", type=int, required=True)
+    rmt_opt.add_argument("--trials", type=int, default=20)
+    rmt_opt.add_argument("--seed", type=int, default=0)
 
     nc = sub.add_parser("nc", help="non-crossing partition calculus")
     ncsub = nc.add_subparsers(dest="cmd", required=True)
@@ -400,42 +385,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cumsub.add_parser("from-moments", help="moment list to cumulant list")
     p.add_argument("--moments", required=True)
     p.set_defaults(handler=functools.partial(
-        _cmd_cumulants, "from-moments", "moments", 1, ncpart.moments_to_cumulants))
+        _cmd_cumulants, "moments", 1, ncpart.moments_to_cumulants))
     p = cumsub.add_parser("to-moments", help="cumulant list to moment list")
     p.add_argument("--cumulants", required=True)
     p.set_defaults(handler=functools.partial(
-        _cmd_cumulants, "to-moments", "cumulants", 0, ncpart.cumulants_to_moments))
+        _cmd_cumulants, "cumulants", 0, ncpart.cumulants_to_moments))
 
     mdl = sub.add_parser("model", help="coupled moment model")
     mdlsub = mdl.add_subparsers(dest="cmd", required=True)
-    p = mdlsub.add_parser("tau", help="exact word trace")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(handler=_cmd_model_tau)
-    p = mdlsub.add_parser("pi-term", help="one summand with loop bookkeeping")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--word", required=True)
+    p = mdlsub.add_parser("tau", help="exact word trace",
+                          parents=[n_opt, word_opt])
+    p.set_defaults(handler=functools.partial(_cmd_word_trace, "tau_word"))
+    p = mdlsub.add_parser("pi-term", help="one summand with loop bookkeeping",
+                          parents=[n_opt, word_opt])
     p.add_argument("--pi", required=True)
     p.set_defaults(handler=_cmd_model_pi_term)
-    p = mdlsub.add_parser("z-moment", help="moment of the generator")
-    p.add_argument("--n", type=int, required=True)
+    p = mdlsub.add_parser("z-moment", help="moment of the generator",
+                          parents=[n_opt])
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(handler=_cmd_model_z_moment)
-    p = mdlsub.add_parser("dims", help="graded box dimension")
-    p.add_argument("--n", type=int, required=True)
+    p.set_defaults(handler=functools.partial(_cmd_model_power, "m", "z_moment"))
+    p = mdlsub.add_parser("dims", help="graded box dimension", parents=[n_opt])
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_model_dims)
+    p.set_defaults(handler=functools.partial(_cmd_model_power, "k", "dim_box"))
 
     free = sub.add_parser("free", help="free product engine")
     freesub = free.add_subparsers(dest="cmd", required=True)
-    p = freesub.add_parser("check", help="mixed-cumulant freeness certificate")
-    p.add_argument("--n", type=int, required=True)
+    p = freesub.add_parser("check", help="mixed-cumulant freeness certificate",
+                           parents=[n_opt])
     p.add_argument("--max-q", type=int, default=4)
     p.set_defaults(handler=_cmd_free_check)
-    p = freesub.add_parser("product-moment", help="trace via the centering route")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(handler=_cmd_free_product_moment)
+    p = freesub.add_parser("product-moment", help="trace via the centering route",
+                           parents=[n_opt, word_opt])
+    p.set_defaults(handler=functools.partial(_cmd_word_trace, "centering_moment"))
 
     fac = sub.add_parser("factor", help="factor parameter arithmetic")
     facsub = fac.add_subparsers(dest="cmd", required=True)
@@ -444,25 +425,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(handler=_cmd_factor_dykema)
-    p = facsub.add_parser("m3", help="parameter of the coupled model's factor")
-    p.add_argument("--n", type=int, required=True)
+    p = facsub.add_parser("m3", help="parameter of the coupled model's factor",
+                          parents=[n_opt])
     p.set_defaults(handler=_cmd_factor_m3)
 
     rmtp = sub.add_parser("rmt", help="Monte Carlo random-matrix checks")
     rmtsub = rmtp.add_subparsers(dest="cmd", required=True)
-    p = rmtsub.add_parser("sample", help="Wishart eigenvalue sample")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p = rmtsub.add_parser("sample", help="Wishart eigenvalue sample",
+                          parents=[rmt_opt])
     p.add_argument("--out", help="write eigenvalues to this CSV file")
     p.set_defaults(handler=_cmd_rmt_sample)
-    p = rmtsub.add_parser("estimate", help="Monte Carlo word trace estimate")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--word", required=True)
+    p = rmtsub.add_parser("estimate", help="Monte Carlo word trace estimate",
+                          parents=[rmt_opt, word_opt])
     p.set_defaults(handler=_cmd_rmt_estimate)
 
     ver = sub.add_parser("verify", help="acceptance checks")
@@ -480,13 +454,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        doc, code = args.handler(args)
+        params, result, *code = args.handler(args)
     except NcfreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # the package disagreeing with itself is a failure, not bad input
         return 1 if isinstance(exc, InconsistencyError) else 2
+    montecarlo = args.group == "rmt" or getattr(args, "rmt", False)
+    doc = {"op": f"{args.group} {args.cmd}", "params": params, "result": result,
+           "provenance": "montecarlo" if montecarlo else "exact",
+           "version": __version__}
     print(json.dumps(doc, sort_keys=True))
-    return code
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

@@ -43,7 +43,8 @@ class Summand(Record):
         if kind not in _KINDS:
             raise ConfigError(f"unknown summand kind {kind!r}")
         if kind == MATRIX:
-            if not isinstance(parameter, int) or parameter < 1:
+            if (not isinstance(parameter, int) or isinstance(parameter, bool)
+                    or parameter < 1):
                 raise ConfigError(f"matrix summand needs a size >= 1, got "
                                   f"{parameter!r}")
         elif kind == FREE_GROUP:

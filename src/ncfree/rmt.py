@@ -39,8 +39,10 @@ diagonal Gram blocks G_ii, and the word traces and the spectrum of the same
 (config, trial) share them: the words form only the off-diagonal blocks,
 and the spectrum only sums the diagonal ones.  The draw is memoised with a
 bound of one entry, so at most one trial's X and its n diagonal blocks
-outlive a call (8 MB at n=2, N=1000);
-:meth:`FreePairSampler.spectra_and_words` hands each draw to both at once.
+outlive a call (8 MB at n=2, N=1000).  The module has one trial loop,
+:meth:`FreePairSampler.spectra_and_words`, which hands each draw to both
+at once and writes the spectra into one preallocated (trials, N) float64
+array; :func:`sample_free_poisson` is that loop with no words.
 Both consumers compute from the memoised arrays in the same way whether the
 entry was cached or not, so no result depends on the cache or on call
 order.  Per-trial randomness comes from independent streams seeded by
@@ -79,12 +81,12 @@ SUPPORT_SLACK = 0.3
 # a two-core machine took 1.1 s and 85 MB resident at N=2000, 0.9 s and
 # 225 MB at 4000, and 5.8 s and 781 MB at 8000; X alone grows like N**2
 N_LIMIT = 8000
-# the most eigenvalues, trials * N, that one spectra call stacks: the
-# samples of trials 0..T-1 stay alive together as float64.  ``rmt sample``
-# in a fresh process on a two-core machine peaked at 37 MB resident for
-# 1,000 values, 74 MB for 10**6 (N=1000, 23 s) and 134 MB at the limit
-# (N=100, 40,000 trials, 10 s); with --out, which lists every value as a
-# Python float, 101 MB and 255 MB
+# the most eigenvalues, trials * N, that one spectra call returns: the walk
+# fills one (trials, N) float64 array.  ``rmt sample`` in a fresh process
+# on a two-core machine (Python 3.11, numpy 2.4) peaked at 70 MB resident
+# for 10**6 values (N=1000, 22-26 s), as much as for one trial at N=1000,
+# and at 98 MB at the limit (N=100, 40,000 trials, 9-11 s); --out, which
+# writes the CSV one trial's row at a time, left both peaks as they were
 SPECTRUM_VALUE_LIMIT = 4_000_000
 
 
@@ -176,30 +178,13 @@ def sample_free_poisson(config: SimulationConfig) -> np.ndarray:
     M-by-M Gram X^T X = sum_i G_ii, the sum of the trial's diagonal Gram
     blocks from :func:`_trial_draw`, scaled by jump/N; A = (jump/N) X X^T
     has rank M, so its other N - M eigenvalues are structural zeros,
-    written as exact zeros rather than computed.  A trial whose draw the
-    word traces just made reuses it; the sum is formed the same way either
-    way, so the samples do not depend on the cache.  More than
-    ``SPECTRUM_VALUE_LIMIT`` samples are refused before any draw.
+    written as exact zeros rather than computed.  This is the spectrum half
+    of :meth:`FreePairSampler.spectra_and_words` with no words.  A trial
+    whose draw the word traces just made reuses it; the sum is formed the
+    same way either way, so the samples do not depend on the cache.  More
+    than ``SPECTRUM_VALUE_LIMIT`` samples are refused before any draw.
     """
-    _check_spectra_size(config)
-    return np.stack([_spectrum(config, _trial_draw(config, t)[1])
-                     for t in range(config.trials)])
-
-
-def _check_spectra_size(config: SimulationConfig) -> None:
-    values = config.trials * config.N
-    if values > SPECTRUM_VALUE_LIMIT:
-        raise SizeLimitError(
-            f"{config.trials} trials at N={config.N} are {values:,} eigenvalues, "
-            f"above the Monte Carlo spectrum limit of {SPECTRUM_VALUE_LIMIT:,}")
-
-
-def _spectrum(config: SimulationConfig, diag) -> np.ndarray:
-    """One trial's ascending spectrum from its diagonal Gram blocks G_ii."""
-    N = config.N
-    gram_spectrum = np.linalg.eigvalsh(sum(diag[1:], diag[0]))
-    return np.concatenate([np.zeros(N - config.gaussian_columns),
-                           config.jump / N * gram_spectrum])
+    return FreePairSampler(config).spectra_and_words(())[0]
 
 
 def atom_mass_estimate(eigenvalues: np.ndarray, config: SimulationConfig) -> float:
@@ -434,8 +419,10 @@ class FreePairSampler:
     def _walk(self, words, spectra: bool):
         cfg = self.config
         T = cfg.trials
-        if spectra:
-            _check_spectra_size(cfg)
+        if spectra and T * cfg.N > SPECTRUM_VALUE_LIMIT:
+            raise SizeLimitError(
+                f"{T} trials at N={cfg.N} are {T * cfg.N:,} eigenvalues, above "
+                f"the Monte Carlo spectrum limit of {SPECTRUM_VALUE_LIMIT:,}")
         words = [tuple(w) for w in words]
         try:
             plans = [_compile_plan(w, cfg.n) for w in words]
@@ -452,13 +439,17 @@ class FreePairSampler:
         # matrix-only words need no draw when no spectrum is asked for; one
         # contiguous row of trials per plan, so each row's mean and spread
         # are reduced in the same order whatever the batch
-        eigs = []
         values = np.empty((len(mixed), T))
+        # one ascending spectrum per row: N - M structural zeros, then the
+        # eigenvalues of sum_i G_ii scaled by jump/N
+        eigs = np.zeros((T, cfg.N)) if spectra else None
+        zeros = cfg.N - cfg.gaussian_columns
         if spectra or mixed:
             for trial in range(T):
                 rows, diag = _trial_draw(cfg, trial)
                 if spectra:
-                    eigs.append(_spectrum(cfg, diag))
+                    spectrum = np.linalg.eigvalsh(sum(diag[1:], diag[0]))
+                    eigs[trial, zeros:] = cfg.jump / cfg.N * spectrum
                 if mixed:
                     values[:, trial] = self._trial_values(rows, diag, order)
         means = values.mean(axis=1).tolist()
@@ -473,7 +464,7 @@ class FreePairSampler:
                 out.append(MomentEstimate(means[j], errors[j], T))
             else:
                 out.append(MomentEstimate(p, 0.0, T))
-        return (np.stack(eigs) if spectra else None), out
+        return eigs, out
 
     def estimate(self, word: Sequence[ModelLetter]) -> MomentEstimate:
         return self.estimate_words([word])[0]

@@ -11,7 +11,6 @@ scipy, when it runs.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -22,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import factors, freeprob, model, ncpart, ratmat
+from ._record import Record
 from .model import ModelParams, Z, _word_label, matrix_letter
 
 VERIFY_SEED = 20260824
@@ -37,13 +37,12 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    # wall time of the check
-    seconds: float
+class CheckResult(Record):
+    """One check's outcome; ``seconds`` is the check's wall time."""
+    __slots__ = _fields = ("name", "ok", "detail", "seconds")
+
+    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
+        self._set(name=name, ok=ok, detail=detail, seconds=seconds)
 
 
 def _check(body: Callable[[list, bool], str]) -> Callable[..., CheckResult]:
@@ -536,7 +535,8 @@ def check_monte_carlo(problems: list[str], quick: bool) -> str:
             problems.append(f"matrix word {_word_label(word)} not exact: "
                             f"{est.value} vs {exact}")
 
-    rerun = dataclasses.replace(config, trials=2)
+    rerun = rmt.SimulationConfig(n=config.n, N=config.N, trials=2,
+                                 seed=config.seed)
     again = rmt.sample_free_poisson(rerun)
     if not (again == eigs[:2]).all():
         problems.append("eigenvalue samples are not bit-reproducible")
@@ -546,7 +546,8 @@ def check_monte_carlo(problems: list[str], quick: bool) -> str:
     if not ((joint_eigs == again).all() and joint == first):
         problems.append("the joint walk differs from the separate calls")
     # the spectrum right after the words reuses their memoised draw
-    single = dataclasses.replace(config, trials=1)
+    single = rmt.SimulationConfig(n=config.n, N=config.N, trials=1,
+                                  seed=config.seed)
     rmt.FreePairSampler(single).estimate_words(small)
     if not (rmt.sample_free_poisson(single) == eigs[:1]).all():
         problems.append("eigenvalue samples change when the words' draw is reused")

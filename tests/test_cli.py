@@ -1,4 +1,5 @@
 """Command line contract: JSON schema, frozen outputs, exit codes."""
+import argparse
 import json
 import math
 import subprocess
@@ -419,6 +420,30 @@ def test_rmt_sample_unwritable_out_is_a_usage_error(capsys, tmp_path):
                        "--trials", "1", "--out", str(tmp_path / "no" / "x.csv"))
 
 
+def test_rmt_sample_out_holds_no_float_object_per_eigenvalue(capsys, tmp_path):
+    # the CSV is written one trial's row at a time, so the traced peak stays
+    # near the sample array itself (and the copy that eigs ** 2 makes); a
+    # list of Python floats for the whole sample would add four times its
+    # bytes
+    import tracemalloc
+    out_file = str(tmp_path / "eigs.csv")
+    cli.main(["rmt", "sample", "--n", "2", "--N", "100", "--trials", "1",
+              "--out", out_file])  # load the Monte Carlo layer first
+    trials, N = 2000, 100
+    tracemalloc.start()
+    try:
+        code = cli.main(["rmt", "sample", "--n", "2", "--N", str(N),
+                         "--trials", str(trials), "--out", out_file])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    capsys.readouterr()
+    with open(out_file) as fh:
+        assert sum(1 for _ in fh) == trials * N + 2
+    assert peak < 3 * trials * N * 8
+
+
 def test_rmt_estimate(capsys):
     doc = run_json(capsys, "rmt", "estimate", "--n", "2", "--N", "120",
                    "--trials", "3", "--seed", "5", "--word", "Z")
@@ -607,6 +632,59 @@ def test_verify_reports_a_raising_check_as_failed(capsys, monkeypatch, defect,
 
 
 # ---------------------------------------------------------------------------
+# the document: main names the op and the provenance of every subcommand
+
+WORD = "Z M[[1,0],[0,0]] Z"
+DOCUMENT_RUNS = [
+    ("nc", "enum", "--q", "3"),
+    ("nc", "mobius", "--pi", "{1}{2}", "--sigma", "{1,2}"),
+    ("nc", "pitilde", "--q", "4", "--d", "1,3", "--pi", "{1,3}"),
+    ("cumulants", "from-moments", "--moments", "1,2"),
+    ("cumulants", "to-moments", "--cumulants", "1,1"),
+    ("model", "tau", "--n", "2", "--word", WORD),
+    ("model", "pi-term", "--n", "2", "--word", WORD, "--pi", "{1,3}"),
+    ("model", "z-moment", "--n", "2", "--m", "3"),
+    ("model", "dims", "--n", "2", "--k", "3"),
+    ("free", "check", "--n", "2", "--max-q", "2"),
+    ("free", "product-moment", "--n", "2", "--word", WORD),
+    ("factor", "dykema", "--r", "3", "--alpha", "1/8", "--d", "2"),
+    ("factor", "m3", "--n", "2"),
+    ("rmt", "sample", *RMT_SIZE),
+    ("rmt", "estimate", *RMT_SIZE, "--word", "Z"),
+    ("verify", "all", "--quick"),
+    ("verify", "all", "--quick", "--rmt"),
+]
+
+
+def _subcommands(parser) -> dict:
+    [action] = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_document_runs_cover_every_subcommand():
+    groups = _subcommands(cli._build_parser())
+    pairs = {(group, cmd) for group, sub in groups.items()
+             for cmd in _subcommands(sub)}
+    assert len(pairs) == 16
+    assert {argv[:2] for argv in DOCUMENT_RUNS} == pairs
+
+
+@pytest.mark.parametrize(
+    "argv", DOCUMENT_RUNS,
+    ids=lambda argv: " ".join(argv[:2]) + (" --rmt" if "--rmt" in argv else ""))
+def test_main_names_op_and_provenance_of_every_subcommand(capsys, monkeypatch,
+                                                          argv):
+    from ncfree import verify
+    # the document, not the checks: verify all runs none here
+    monkeypatch.setattr(verify, "run_all", lambda **kwargs: [])
+    doc = run_json(capsys, *argv)
+    assert doc["op"] == f"{argv[0]} {argv[1]}"
+    montecarlo = argv[0] == "rmt" or "--rmt" in argv
+    assert doc["provenance"] == ("montecarlo" if montecarlo else "exact")
+
+
+# ---------------------------------------------------------------------------
 # start-up: each subcommand loads only its own layers
 
 _RUN_AND_LIST_MODULES = """
@@ -633,8 +711,9 @@ _MODEL_LAYERS = {"ncfree.model", "ncfree.freeprob"}
     (["factor", "dykema", "--r", "3", "--alpha", "1/2", "--d", "2"],
      _HEAVY | _MODEL_LAYERS),
     (["factor", "m3", "--n", "3"], _HEAVY),
+    (["verify", "all", "--quick"], _HEAVY),
 ], ids=["nc-enum", "cumulants", "model-z-moment", "model-tau", "free-check",
-        "factor-dykema", "factor-m3"])
+        "factor-dykema", "factor-m3", "verify-quick"])
 def test_exact_subcommands_load_only_their_layers(package_env, argv, absent):
     out = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
                          env=package_env, check=True, capture_output=True,

@@ -48,6 +48,13 @@ def test_summand_validation():
         Summand(1, INTEGER_GROUP, 2)
 
 
+
+@pytest.mark.parametrize("size", [True, False])
+def test_matrix_summand_refuses_a_bool_size(size):
+    # a bool is an int, and Summand(1, MATRIX, True) would display as MTrue
+    with pytest.raises(ConfigError, match="matrix summand needs a size"):
+        Summand(1, MATRIX, size)
+
 def test_summand_display():
     assert Summand(1, SCALAR).display() == "C"
     assert Summand(1, MATRIX, 3).display() == "M3"
