@@ -1,12 +1,14 @@
-"""Immutable value classes for the exact layers, without ``dataclasses``.
+"""One frozen base for every value class of the package; it imports nothing.
 
-``import dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``,
-which costs a fresh ``ncfree`` process more start-up time than most exact
-CLI ops spend computing.  The value classes of :mod:`ncfree.model`,
-:mod:`ncfree.freeprob`, :mod:`ncfree.factors` and :mod:`ncfree.verify`
-therefore derive from :class:`Record`, which gives a ``__slots__`` class
-what a frozen dataclass gave it: assignment raises, and instances compare,
-hash, print and pickle by their fields.
+A :class:`Record` refuses assignment and deletion, and compares, hashes,
+prints and pickles by its fields.  The standard library's record decorator
+loads ``inspect``, ``ast``, ``dis`` and ``tokenize``, which costs a fresh
+process more than most CLI ops compute.  The value classes are
+``ncpart.NonCrossingPartition`` (which keeps its own repr),
+``model.ModelParams``, ``model.ModelLetter``, ``model.PiTermBreakdown``,
+``freeprob.FreeProduct``, ``freeprob.FreenessReport``, ``factors.Summand``,
+``factors.FactorDescription``, ``rmt.SimulationConfig``,
+``rmt.MomentEstimate`` and ``verify.CheckResult``.
 """
 from __future__ import annotations
 

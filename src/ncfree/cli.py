@@ -347,12 +347,21 @@ def _cmd_verify_all(args) -> tuple[dict, object, int]:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(first: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argparse tree, with the subcommands of the group that a command
+    line's first token names, or of every group when it is None or an option;
+    every group is listed either way, so usage and help read the same."""
     parser = argparse.ArgumentParser(
         prog="ncfree",
         description="Exact non-crossing partition calculus and the coupled "
                     "generator-plus-matrices moment model.")
     sub = parser.add_subparsers(dest="group", required=True)
+
+    def commands(name: str, text: str):
+        # the subcommand table of a group, or None when it is not built
+        group_parser = sub.add_parser(name, help=text)
+        if first is None or first.startswith("-") or first == name:
+            return group_parser.add_subparsers(dest="cmd", required=True)
 
     # options that several subcommands share, declared once each; a
     # subcommand's parents come before its own options, in their order
@@ -365,94 +374,90 @@ def _build_parser() -> argparse.ArgumentParser:
     rmt_opt.add_argument("--trials", type=int, default=20)
     rmt_opt.add_argument("--seed", type=int, default=0)
 
-    nc = sub.add_parser("nc", help="non-crossing partition calculus")
-    ncsub = nc.add_subparsers(dest="cmd", required=True)
-    p = ncsub.add_parser("enum", help="enumerate NC(q)")
-    p.add_argument("--q", type=int, required=True)
-    p.set_defaults(handler=_cmd_nc_enum)
-    p = ncsub.add_parser("mobius", help="Mobius function at a pair")
-    p.add_argument("--pi", required=True)
-    p.add_argument("--sigma", required=True)
-    p.set_defaults(handler=_cmd_nc_mobius)
-    p = ncsub.add_parser("pitilde", help="complement on the unmarked positions")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", required=True, help="comma-separated marked positions")
-    p.add_argument("--pi", required=True)
-    p.set_defaults(handler=_cmd_nc_pitilde)
+    if ncsub := commands("nc", "non-crossing partition calculus"):
+        p = ncsub.add_parser("enum", help="enumerate NC(q)")
+        p.add_argument("--q", type=int, required=True)
+        p.set_defaults(handler=_cmd_nc_enum)
+        p = ncsub.add_parser("mobius", help="Mobius function at a pair")
+        p.add_argument("--pi", required=True)
+        p.add_argument("--sigma", required=True)
+        p.set_defaults(handler=_cmd_nc_mobius)
+        p = ncsub.add_parser("pitilde", help="complement on the unmarked positions")
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--d", required=True, help="comma-separated marked positions")
+        p.add_argument("--pi", required=True)
+        p.set_defaults(handler=_cmd_nc_pitilde)
 
-    cum = sub.add_parser("cumulants", help="single-variable transforms")
-    cumsub = cum.add_subparsers(dest="cmd", required=True)
-    p = cumsub.add_parser("from-moments", help="moment list to cumulant list")
-    p.add_argument("--moments", required=True)
-    p.set_defaults(handler=functools.partial(
-        _cmd_cumulants, "moments", 1, ncpart.moments_to_cumulants))
-    p = cumsub.add_parser("to-moments", help="cumulant list to moment list")
-    p.add_argument("--cumulants", required=True)
-    p.set_defaults(handler=functools.partial(
-        _cmd_cumulants, "cumulants", 0, ncpart.cumulants_to_moments))
+    if cumsub := commands("cumulants", "single-variable transforms"):
+        p = cumsub.add_parser("from-moments", help="moment list to cumulant list")
+        p.add_argument("--moments", required=True)
+        p.set_defaults(handler=functools.partial(
+            _cmd_cumulants, "moments", 1, ncpart.moments_to_cumulants))
+        p = cumsub.add_parser("to-moments", help="cumulant list to moment list")
+        p.add_argument("--cumulants", required=True)
+        p.set_defaults(handler=functools.partial(
+            _cmd_cumulants, "cumulants", 0, ncpart.cumulants_to_moments))
 
-    mdl = sub.add_parser("model", help="coupled moment model")
-    mdlsub = mdl.add_subparsers(dest="cmd", required=True)
-    p = mdlsub.add_parser("tau", help="exact word trace",
-                          parents=[n_opt, word_opt])
-    p.set_defaults(handler=functools.partial(_cmd_word_trace, "tau_word"))
-    p = mdlsub.add_parser("pi-term", help="one summand with loop bookkeeping",
-                          parents=[n_opt, word_opt])
-    p.add_argument("--pi", required=True)
-    p.set_defaults(handler=_cmd_model_pi_term)
-    p = mdlsub.add_parser("z-moment", help="moment of the generator",
-                          parents=[n_opt])
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(handler=functools.partial(_cmd_model_power, "m", "z_moment"))
-    p = mdlsub.add_parser("dims", help="graded box dimension", parents=[n_opt])
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=functools.partial(_cmd_model_power, "k", "dim_box"))
+    if mdlsub := commands("model", "coupled moment model"):
+        p = mdlsub.add_parser("tau", help="exact word trace",
+                              parents=[n_opt, word_opt])
+        p.set_defaults(handler=functools.partial(_cmd_word_trace, "tau_word"))
+        p = mdlsub.add_parser("pi-term", help="one summand with loop bookkeeping",
+                              parents=[n_opt, word_opt])
+        p.add_argument("--pi", required=True)
+        p.set_defaults(handler=_cmd_model_pi_term)
+        p = mdlsub.add_parser("z-moment", help="moment of the generator",
+                              parents=[n_opt])
+        p.add_argument("--m", type=int, required=True)
+        p.set_defaults(handler=functools.partial(_cmd_model_power, "m", "z_moment"))
+        p = mdlsub.add_parser("dims", help="graded box dimension", parents=[n_opt])
+        p.add_argument("--k", type=int, required=True)
+        p.set_defaults(handler=functools.partial(_cmd_model_power, "k", "dim_box"))
 
-    free = sub.add_parser("free", help="free product engine")
-    freesub = free.add_subparsers(dest="cmd", required=True)
-    p = freesub.add_parser("check", help="mixed-cumulant freeness certificate",
-                           parents=[n_opt])
-    p.add_argument("--max-q", type=int, default=4)
-    p.set_defaults(handler=_cmd_free_check)
-    p = freesub.add_parser("product-moment", help="trace via the centering route",
-                           parents=[n_opt, word_opt])
-    p.set_defaults(handler=functools.partial(_cmd_word_trace, "centering_moment"))
+    if freesub := commands("free", "free product engine"):
+        p = freesub.add_parser("check", help="mixed-cumulant freeness certificate",
+                               parents=[n_opt])
+        p.add_argument("--max-q", type=int, default=4)
+        p.set_defaults(handler=_cmd_free_check)
+        p = freesub.add_parser("product-moment", help="trace via the centering route",
+                               parents=[n_opt, word_opt])
+        p.set_defaults(handler=functools.partial(_cmd_word_trace, "centering_moment"))
 
-    fac = sub.add_parser("factor", help="factor parameter arithmetic")
-    facsub = fac.add_subparsers(dest="cmd", required=True)
-    p = facsub.add_parser("dykema", help="two-branch free product formula")
-    p.add_argument("--r", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(handler=_cmd_factor_dykema)
-    p = facsub.add_parser("m3", help="parameter of the coupled model's factor",
-                          parents=[n_opt])
-    p.set_defaults(handler=_cmd_factor_m3)
+    if facsub := commands("factor", "factor parameter arithmetic"):
+        p = facsub.add_parser("dykema", help="two-branch free product formula")
+        p.add_argument("--r", required=True)
+        p.add_argument("--alpha", required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.set_defaults(handler=_cmd_factor_dykema)
+        p = facsub.add_parser("m3", help="parameter of the coupled model's factor",
+                              parents=[n_opt])
+        p.set_defaults(handler=_cmd_factor_m3)
 
-    rmtp = sub.add_parser("rmt", help="Monte Carlo random-matrix checks")
-    rmtsub = rmtp.add_subparsers(dest="cmd", required=True)
-    p = rmtsub.add_parser("sample", help="Wishart eigenvalue sample",
-                          parents=[rmt_opt])
-    p.add_argument("--out", help="write eigenvalues to this CSV file")
-    p.set_defaults(handler=_cmd_rmt_sample)
-    p = rmtsub.add_parser("estimate", help="Monte Carlo word trace estimate",
-                          parents=[rmt_opt, word_opt])
-    p.set_defaults(handler=_cmd_rmt_estimate)
+    if rmtsub := commands("rmt", "Monte Carlo random-matrix checks"):
+        p = rmtsub.add_parser("sample", help="Wishart eigenvalue sample",
+                              parents=[rmt_opt])
+        p.add_argument("--out", help="write eigenvalues to this CSV file")
+        p.set_defaults(handler=_cmd_rmt_sample)
+        p = rmtsub.add_parser("estimate", help="Monte Carlo word trace estimate",
+                              parents=[rmt_opt, word_opt])
+        p.set_defaults(handler=_cmd_rmt_estimate)
 
-    ver = sub.add_parser("verify", help="acceptance checks")
-    versub = ver.add_subparsers(dest="cmd", required=True)
-    p = versub.add_parser("all", help="run the exact acceptance suite")
-    p.add_argument("--quick", action="store_true",
-                   help="trimmed ranges, for smoke runs")
-    p.add_argument("--rmt", action="store_true",
-                   help="include the Monte Carlo criterion")
-    p.set_defaults(handler=_cmd_verify_all)
+    if versub := commands("verify", "acceptance checks"):
+        p = versub.add_parser("all", help="run the exact acceptance suite")
+        p.add_argument("--quick", action="store_true",
+                       help="trimmed ranges, for smoke runs")
+        p.add_argument("--rmt", action="store_true",
+                       help="include the Monte Carlo criterion")
+        p.set_defaults(handler=_cmd_verify_all)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a first token that is no option and names no group is refused as an
+    # invalid choice before any group parses, so it builds no group
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         params, result, *code = args.handler(args)
     except NcfreeError as exc:

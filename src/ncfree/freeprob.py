@@ -63,7 +63,7 @@ def free_poisson_moment(rate, jump, m: int) -> Fraction:
 # free product moments by centering
 
 
-class FreeProduct:
+class FreeProduct(Record):
     """Tracial free product of the generator Z with n-by-n matrices.
 
     Z is the free Poisson element with rate 1/n and jump n.  A word is a
@@ -81,11 +81,12 @@ class FreeProduct:
     >>> FreeProduct(2).moment((1, 1)) == 3
     True
     """
+    __slots__ = _fields = ("n",)
 
     def __init__(self, n: int):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigError(f"matrix size must be a positive integer, got {n!r}")
-        self.n = n
+        self._set(n=n)
 
     def moment(self, word: Sequence) -> Fraction:
         if len(word) > WORD_LIMIT:

@@ -349,7 +349,7 @@ def tilde_kappa(word: Sequence[ModelLetter], sigma: NonCrossingPartition,
     value = Fraction(1)
     for block in sigma.blocks:
         if all(x in dset for x in block):
-            value *= params.n ** (len(block) - 1)
+            value *= z_cumulant(len(block), params)
         elif all(x in eset for x in block):
             value *= _matrix_cumulant(tuple(word[j - 1] for j in block))
         else:

@@ -43,6 +43,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from ._caches import memo
+from ._record import Record
 from .errors import (
     ArityError,
     GroundMismatchError,
@@ -95,12 +96,12 @@ def _check_cap(k: int) -> None:
 # the partition type
 
 
-class NonCrossingPartition:
+class NonCrossingPartition(Record):
     """A non-crossing partition of a finite integer ground set.
 
     Blocks are stored canonically: each block ascending, blocks ordered by
-    their minima.  Instances are value objects: structural equality, hashable,
-    treat as immutable.
+    their minima.  Instances are frozen value objects that compare and hash
+    by (ground, blocks).
 
     >>> p = NonCrossingPartition((1, 2, 3), [(1, 3), (2,)])
     >>> str(p)
@@ -109,7 +110,7 @@ class NonCrossingPartition:
     2
     """
 
-    __slots__ = ("ground", "blocks")
+    __slots__ = _fields = ("ground", "blocks")
 
     def __init__(self, ground: Iterable[int], blocks: Iterable[Iterable[int]]):
         g = as_ground(ground)
@@ -126,15 +127,16 @@ class NonCrossingPartition:
                 f"blocks {canon} do not partition ground {g}")
         if not _blocks_noncrossing(canon):
             raise MalformedPartitionError(f"blocks {canon} cross")
-        self.ground = g
-        self.blocks = tuple(canon)
+        self._set(ground=g, blocks=tuple(canon))
 
     @classmethod
     def _raw(cls, ground: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
-        # internal fast path: caller guarantees canonical, valid input
+        # internal fast path: caller guarantees canonical, valid input; two
+        # stores, as _set's keyword loop took 0.13 s more for the 208,012
+        # partitions of nc enum --q 12
         self = object.__new__(cls)
-        self.ground = ground
-        self.blocks = blocks
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "blocks", blocks)
         return self
 
     @classmethod
@@ -185,14 +187,6 @@ class NonCrossingPartition:
 
     def __iter__(self):
         return iter(self.blocks)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NonCrossingPartition):
-            return NotImplemented
-        return self.ground == other.ground and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.blocks))
 
     def __le__(self, other) -> bool:
         return refines(self, other)

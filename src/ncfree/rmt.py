@@ -55,7 +55,6 @@ imports it on its first call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -63,6 +62,7 @@ import numpy as np
 
 from . import ratmat
 from ._caches import memo
+from ._record import Record
 from .errors import ConfigError, SizeLimitError
 from .model import ModelLetter, ModelParams, _split_word
 
@@ -90,31 +90,25 @@ N_LIMIT = 8000
 SPECTRUM_VALUE_LIMIT = 4_000_000
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Record):
     """Monte Carlo parameters for the n-by-n model at matrix size N."""
-    n: int
-    N: int
-    trials: int = 20
-    seed: int = 0
+    __slots__ = _fields = ("n", "N", "trials", "seed")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ConfigError(f"n must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.N, int) or self.N < 100:
-            raise ConfigError(f"N must be an integer >= 100, got {self.N!r}")
-        if self.N > N_LIMIT:
+    def __init__(self, n: int, N: int, trials: int = 20, seed: int = 0):
+        if not isinstance(n, int) or n < 2:
+            raise ConfigError(f"n must be an integer >= 2, got {n!r}")
+        if not isinstance(N, int) or N < 100:
+            raise ConfigError(f"N must be an integer >= 100, got {N!r}")
+        if N > N_LIMIT:
             raise SizeLimitError(
-                f"N={self.N} is above the Monte Carlo size limit of {N_LIMIT}")
-        if self.N % self.n:
-            raise ConfigError(f"N={self.N} must be divisible by n={self.n}")
-        if (not isinstance(self.trials, int) or isinstance(self.trials, bool)
-                or self.trials < 1):
-            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
-                or self.seed < 0):
-            raise ConfigError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
+                f"N={N} is above the Monte Carlo size limit of {N_LIMIT}")
+        if N % n:
+            raise ConfigError(f"N={N} must be divisible by n={n}")
+        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+            raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+        self._set(n=n, N=N, trials=trials, seed=seed)
 
     @property
     def rate(self) -> Fraction:
@@ -134,12 +128,12 @@ class SimulationConfig:
         return 1e-6 * self.n
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
+class MomentEstimate(Record):
     """A word trace estimate; std_error_ok is False when trials == 1."""
-    value: float
-    std_error: float
-    trials: int
+    __slots__ = _fields = ("value", "std_error", "trials")
+
+    def __init__(self, value: float, std_error: float, trials: int):
+        self._set(value=value, std_error=std_error, trials=trials)
 
     @property
     def std_error_ok(self) -> bool:

@@ -670,6 +670,25 @@ def test_document_runs_cover_every_subcommand():
     assert {argv[:2] for argv in DOCUMENT_RUNS} == pairs
 
 
+@pytest.mark.parametrize("group", ["nc", "cumulants", "model", "free", "factor",
+                                   "rmt", "verify"])
+def test_a_group_tree_reads_like_the_full_tree(group):
+    def built(parser):
+        return {name for name, sub in _subcommands(parser).items()
+                if any(isinstance(a, argparse._SubParsersAction) for a in sub._actions)}
+
+    full, one = cli._build_parser(), cli._build_parser(group)
+    assert one.format_help() == full.format_help()
+    assert built(one) == {group} and len(built(full)) == 7
+    full_cmds = _subcommands(_subcommands(full)[group])
+    one_cmds = _subcommands(_subcommands(one)[group])
+    assert list(one_cmds) == list(full_cmds)
+    for name, parser in one_cmds.items():
+        assert parser.format_help() == full_cmds[name].format_help()
+    # an option as first token builds every group, as no token does
+    assert built(cli._build_parser("-h")) == built(cli._build_parser("--foo")) == built(full)
+
+
 @pytest.mark.parametrize(
     "argv", DOCUMENT_RUNS,
     ids=lambda argv: " ".join(argv[:2]) + (" --rmt" if "--rmt" in argv else ""))
@@ -712,8 +731,13 @@ _MODEL_LAYERS = {"ncfree.model", "ncfree.freeprob"}
      _HEAVY | _MODEL_LAYERS),
     (["factor", "m3", "--n", "3"], _HEAVY),
     (["verify", "all", "--quick"], _HEAVY),
+    (["rmt", "estimate", "--n", "2", "--N", "100", "--trials", "2",
+      "--word", "Z M[[1,0],[0,0]]"], {"dataclasses", "scipy"}),
+    (["rmt", "sample", "--n", "2", "--N", "100", "--trials", "2"],
+     {"dataclasses", "scipy"}),
 ], ids=["nc-enum", "cumulants", "model-z-moment", "model-tau", "free-check",
-        "factor-dykema", "factor-m3", "verify-quick"])
+        "factor-dykema", "factor-m3", "verify-quick", "rmt-estimate",
+        "rmt-sample"])
 def test_exact_subcommands_load_only_their_layers(package_env, argv, absent):
     out = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
                          env=package_env, check=True, capture_output=True,

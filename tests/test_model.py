@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import ncfree
-from ncfree import cli, factors, model, ncpart, ratmat
+from ncfree import cli, factors, model, ncpart, ratmat, rmt
 from ncfree.errors import (
     ArityError,
     ConfigError,
@@ -125,11 +125,15 @@ def _value_objects():
     summand = factors.Summand(Fraction(1, 2), factors.FREE_GROUP, 3)
     return {"params": P2, "letter": E11, "z": Z, "pi-term": term,
             "report": report, "summand": summand,
-            "description": factors.FactorDescription([summand, summand])}
+            "description": factors.FactorDescription([summand, summand]),
+            "free-product": FreeProduct(2),
+            "config": rmt.SimulationConfig(2, 200, trials=3, seed=1),
+            "estimate": rmt.MomentEstimate(0.5, 0.01, 3)}
 
 
 @pytest.mark.parametrize("kind", ["params", "letter", "z", "pi-term", "report",
-                                  "summand", "description"])
+                                  "summand", "description", "free-product",
+                                  "config", "estimate"])
 def test_value_classes_are_frozen_and_compare_by_fields(kind):
     value = _value_objects()[kind]
     again = _value_objects()[kind]

@@ -4,9 +4,11 @@ The oracles here share no code with the package: set partitions come from a
 first-element recursion, crossings from the four-point definition, counts
 from binomial closed forms, and the Mobius checks from interval sums.
 """
+import copy
 import functools
 import itertools
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -208,6 +210,26 @@ def test_accessors():
     assert len(p) == 2
     assert p.position_blocks() == ((0, 3), (1, 2))
     assert set(iter(p)) == {(1, 4), (2, 3)}
+
+
+@pytest.mark.parametrize("p", [
+    NonCrossingPartition((2, 5, 8), [(2, 8), (5,)]),
+    NonCrossingPartition.whole(()),
+    ncpart.enumerate_nc((1, 2, 3))[2],
+], ids=["constructor", "empty", "raw"])
+def test_partitions_are_frozen_and_survive_copy_and_pickle(p):
+    before, members = (p.ground, p.blocks, hash(p)), {p}
+    for name in ("ground", "blocks"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ((1, 2, 3),))
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert (p.ground, p.blocks, hash(p)) == before and p in members
+    for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert clone == p and hash(clone) == hash(p)
+        assert repr(clone) == repr(p)
 
 
 def test_singletons_and_whole():
